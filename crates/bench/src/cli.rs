@@ -1,10 +1,11 @@
-//! Command-line plumbing shared by `run_all` and the per-figure
-//! binaries.
+//! The `run_all` command line: the one front end that regenerates
+//! artifacts.
 //!
-//! Every binary accepts the same flags, layered over the environment
-//! defaults (`KSR_QUICK`, `KSR_SEED`, `KSR_RESULTS`, `KSR_JOBS`,
-//! `KSR_CACHE`):
+//! Flags layer over the environment defaults (`KSR_QUICK`, `KSR_SEED`,
+//! `KSR_RESULTS`, `KSR_JOBS`, `KSR_CACHE`):
 //!
+//! * `--list` — print the registry (id, job count, title) and exit;
+//! * `--only ID[,ID...]` — run a subset (ids are case-insensitive);
 //! * `--quick` / `--full` — force reduced or full sweeps;
 //! * `--seed N` — perturb every machine seed;
 //! * `--results DIR` — where result files go;
@@ -22,12 +23,13 @@
 //!   list into the cache (requires `--cache`; writes no artifacts);
 //! * `--join` — assemble artifacts from a cache the shards populated:
 //!   a warm run that should execute nothing (requires `--cache`; warns
-//!   about any job it still had to run).
+//!   about any job it still had to run);
+//! * `--prune` — delete cache entries from dead generations (stale
+//!   schemas, removed experiments, corrupt files), then exit (requires
+//!   `--cache`).
 //!
-//! `run_all` additionally understands `--list` (print the registry and
-//! exit), `--only ID[,ID...]` (run a subset), and `--prune` (delete
-//! cache entries from dead generations — stale schemas, removed
-//! experiments, corrupt files — then exit; requires `--cache`).
+//! An `--only` run writes `summary.json` and `timings.json` for its
+//! selection alone, replacing any full-run index in that directory.
 //!
 //! Output discipline: rendered experiment results go to **stdout** (so
 //! runs pipe cleanly into files and diffs); everything else — per-job
@@ -41,7 +43,7 @@ use ksr_core::{Json, Progress};
 
 use crate::common::{write_summary, ExperimentOutput, RunOpts, Shard};
 use crate::exec::{self, CacheStats};
-use crate::registry::{find, Experiment, FnExperiment, REGISTRY};
+use crate::registry::{find, Experiment, REGISTRY};
 
 /// Parsed command line: run options plus `run_all`'s selection flags.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,53 +141,27 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
     Ok(cli)
 }
 
-fn usage(program: &str) -> String {
+fn usage() -> String {
     format!(
-        "usage: {program} [--quick|--full] [--check] [--seed N] [--results DIR] [--jobs N] \
+        "usage: run_all [--quick|--full] [--check] [--seed N] [--results DIR] [--jobs N] \
          [--cache DIR] [--shard i/N] [--join] [--list] [--only ID,ID...] [--prune]\n\
          ids: {}",
         crate::registry::ids().join(", ")
     )
 }
 
-/// Print the full registry (id + title per line) to stderr — shown when
-/// a selection names an unknown experiment.
-fn print_registry_to_stderr() {
-    eprintln!("registered experiments:");
-    for e in REGISTRY {
-        eprintln!("  {:<8} {}", e.id(), e.title());
-    }
-}
-
-/// Run one experiment and persist its artifacts; prints the rendering.
-pub fn emit(exp: &FnExperiment, opts: &RunOpts) -> ExperimentOutput {
-    let out = exp.run(opts);
-    println!("{}", out.render());
-    match out.write_to(&opts.results_dir) {
-        Ok(path) => eprintln!("[written: {}]", path.display()),
-        Err(e) => eprintln!("[warning: could not write results file: {e}]"),
-    }
-    out
-}
-
-/// The unified run path: plan every selected experiment, execute all
-/// jobs over the worker pool, then print/persist the outputs in
-/// selection order. With `summary` set, `summary.json` and
-/// `timings.json` are written too (the `run_all` mode); single-figure
-/// binaries skip both. Under `--check`, the per-experiment coherence
-/// results are merged in job order and [`crate::check::finalize`] runs
-/// the race/lint suites and writes `violations.json`.
+/// The run path: plan every selected experiment, execute all jobs over
+/// the worker pool, then print/persist the outputs in selection order
+/// and write `summary.json` and `timings.json`. Under `--check`, the
+/// per-experiment coherence results are merged in job order and
+/// [`crate::check::finalize`] runs the race/lint suites and writes
+/// `violations.json`.
 ///
 /// With `opts.shard` set this is a shard run instead: execute this
 /// process's slice of the job list into the cache and stop — no
 /// rendering, no artifacts except `timings.json` (which carries the
 /// hit/miss/skip counters).
-fn run_selection(
-    selected: &[&FnExperiment],
-    opts: &RunOpts,
-    summary: bool,
-    join: bool,
-) -> ExitCode {
+fn run_selection(selected: &[&Experiment], opts: &RunOpts, join: bool) -> ExitCode {
     let plans: Vec<crate::exec::ExperimentPlan> = selected.iter().map(|e| e.plan(opts)).collect();
     let wall_start = Instant::now();
     let (progress, drainer) = Progress::stderr();
@@ -203,15 +179,13 @@ fn run_selection(
             report.cache.skipped,
             cache_dir.display(),
         );
-        if summary {
-            if let Err(e) = write_timings(
-                &report.timings,
-                wall_seconds,
-                opts,
-                Some((report.cache, report.total_jobs)),
-            ) {
-                eprintln!("[warning: could not write timings: {e}]");
-            }
+        if let Err(e) = write_timings(
+            &report.timings,
+            wall_seconds,
+            opts,
+            Some((report.cache, report.total_jobs)),
+        ) {
+            eprintln!("[warning: could not write timings: {e}]");
         }
         return ExitCode::SUCCESS;
     }
@@ -264,18 +238,16 @@ fn run_selection(
         outputs.push(result.output);
     }
 
-    if summary {
-        match write_summary(&outputs, opts) {
-            Ok(path) => eprintln!("[summary: {}]", path.display()),
-            Err(e) => {
-                eprintln!("error: could not write summary: {e}");
-                return ExitCode::FAILURE;
-            }
+    match write_summary(&outputs, opts) {
+        Ok(path) => eprintln!("[summary: {}]", path.display()),
+        Err(e) => {
+            eprintln!("error: could not write summary: {e}");
+            return ExitCode::FAILURE;
         }
-        let cache = report.cache.map(|stats| (stats, report.total_jobs));
-        if let Err(e) = write_timings(&timings, wall_seconds, opts, cache) {
-            eprintln!("[warning: could not write timings: {e}]");
-        }
+    }
+    let cache = report.cache.map(|stats| (stats, report.total_jobs));
+    if let Err(e) = write_timings(&timings, wall_seconds, opts, cache) {
+        eprintln!("[warning: could not write timings: {e}]");
     }
 
     if opts.check {
@@ -345,7 +317,7 @@ pub fn run_all_main() -> ExitCode {
     let cli = match parse_args(std::env::args().skip(1)) {
         Ok(cli) => cli,
         Err(e) => {
-            eprintln!("error: {e}\n{}", usage("run_all"));
+            eprintln!("error: {e}\n{}", usage());
             return ExitCode::from(2);
         }
     };
@@ -362,7 +334,7 @@ pub fn run_all_main() -> ExitCode {
     if cli.prune {
         return prune_cache(&cli.opts);
     }
-    let selected: Vec<&FnExperiment> = if cli.only.is_empty() {
+    let selected: Vec<&Experiment> = if cli.only.is_empty() {
         REGISTRY.iter().collect()
     } else {
         let mut sel = Vec::new();
@@ -370,15 +342,17 @@ pub fn run_all_main() -> ExitCode {
             match find(id) {
                 Some(e) => sel.push(e),
                 None => {
-                    eprintln!("error: unknown experiment id {id}");
-                    print_registry_to_stderr();
+                    eprintln!("error: unknown experiment id {id}\nregistered experiments:");
+                    for e in REGISTRY {
+                        eprintln!("  {:<8} {}", e.id(), e.title());
+                    }
                     return ExitCode::from(2);
                 }
             }
         }
         sel
     };
-    run_selection(&selected, &cli.opts, true, cli.join)
+    run_selection(&selected, &cli.opts, cli.join)
 }
 
 /// Delete cache entries no current experiment generation can ever hit:
@@ -412,34 +386,6 @@ fn prune_cache(opts: &RunOpts) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Entry point for a single-experiment binary: run `id` with the shared
-/// flags (selection flags are rejected).
-#[must_use]
-pub fn run_single_main(id: &str) -> ExitCode {
-    let cli = match parse_args(std::env::args().skip(1)) {
-        Ok(cli) if cli.list || cli.prune || !cli.only.is_empty() => {
-            eprintln!(
-                "error: --list/--only/--prune are run_all flags\n{}",
-                usage(&id.to_lowercase())
-            );
-            return ExitCode::from(2);
-        }
-        Ok(cli) => cli,
-        Err(e) => {
-            eprintln!("error: {e}\n{}", usage(&id.to_lowercase()));
-            return ExitCode::from(2);
-        }
-    };
-    let Some(exp) = find(id) else {
-        // A build/registry mismatch, not a user error: say which binary
-        // is mis-wired and what actually exists, then fail cleanly.
-        eprintln!("error: this binary is wired to unregistered experiment id {id}");
-        print_registry_to_stderr();
-        return ExitCode::FAILURE;
-    };
-    run_selection(&[exp], &cli.opts, false, cli.join)
 }
 
 #[cfg(test)]

@@ -9,11 +9,10 @@ use ksr_core::table::{series_to_csv, Series};
 use ksr_core::Json;
 
 /// Options for one experiment run — the single parameter every
-/// [`crate::registry::Experiment`] receives.
+/// [`crate::registry::Experiment`] planner receives.
 ///
-/// Replaces the old bare `quick: bool` argument. Environment variables
-/// provide the defaults ([`RunOpts::from_env`]); binaries layer CLI flags
-/// on top.
+/// Environment variables provide the defaults ([`RunOpts::from_env`]);
+/// `run_all` layers CLI flags on top.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOpts {
     /// Reduced sweeps for CI and tests (`KSR_QUICK=1`).

@@ -25,8 +25,7 @@
 //! figure series, and typed [`MetricRow`]s; `write_to` persists
 //! `<id>.txt` / `<id>.csv` / `<id>.json`, and [`common::write_summary`]
 //! indexes a whole run in `summary.json`. The `run_all` binary is the
-//! CLI front end (`--list`, `--only FIG4,TAB1`, `--quick`, `--jobs`);
-//! the per-figure binaries route through the same registry.
+//! one CLI front end (`--list`, `--only FIG4,TAB1`, `--quick`, `--jobs`);
 //! `KSR_QUICK=1`, `KSR_SEED`, `KSR_RESULTS`, and `KSR_JOBS` provide the
 //! [`RunOpts`] defaults.
 
@@ -61,29 +60,4 @@ pub use exec::{
     execute, execute_shard, CacheStats, ExecReport, ExperimentPlan, ExperimentResult, Job, JobDesc,
     JobResults, ShardReport,
 };
-pub use registry::{Experiment, FnExperiment, REGISTRY};
-
-/// Run every registered experiment, in the DESIGN.md index order.
-#[must_use]
-pub fn run_all(opts: &RunOpts) -> Vec<ExperimentOutput> {
-    REGISTRY.iter().map(|e| e.run(opts)).collect()
-}
-
-/// Deprecated shim for the pre-registry API.
-#[deprecated(note = "use run_all(&RunOpts) or the registry directly")]
-#[must_use]
-pub fn run_all_quick(quick: bool) -> Vec<ExperimentOutput> {
-    run_all(&RunOpts {
-        quick,
-        ..RunOpts::default()
-    })
-}
-
-/// Print an experiment and persist it under the results directory.
-pub fn emit(out: &ExperimentOutput, opts: &RunOpts) {
-    println!("{}", out.render());
-    match out.write_to(&opts.results_dir) {
-        Ok(path) => eprintln!("[written: {}]", path.display()),
-        Err(e) => eprintln!("[warning: could not write results file: {e}]"),
-    }
-}
+pub use registry::{Experiment, REGISTRY};

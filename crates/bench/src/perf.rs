@@ -254,7 +254,7 @@ pub fn write_report(doc: &Json, dir: &Path) -> std::io::Result<PathBuf> {
 ///
 /// Prints the per-case numbers to stderr and the report path on
 /// success; `bench.json` lands in the results directory (default from
-/// `KSR_RESULTS`, like every other binary). With `--gate`, the fresh
+/// `KSR_RESULTS`, as for `run_all`). With `--gate`, the fresh
 /// minima are compared against the named baseline `bench.json` first
 /// and a regression past the tolerance exits non-zero without touching
 /// any file.

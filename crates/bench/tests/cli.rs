@@ -1,0 +1,82 @@
+//! The `run_all` front door as a user meets it: spawn the binary and
+//! check exit codes, stderr, and the files a selection leaves behind.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+use ksr_bench::registry::ids;
+
+/// Run `run_all` with `args`, isolated from any `KSR_*` defaults in the
+/// caller's environment.
+fn run_all(args: &[&str]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
+    for var in [
+        "KSR_QUICK",
+        "KSR_SEED",
+        "KSR_RESULTS",
+        "KSR_JOBS",
+        "KSR_CACHE",
+        "KSR_CHECK",
+    ] {
+        cmd.env_remove(var);
+    }
+    cmd.args(args).output().expect("spawn run_all")
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("ksr_cli_{tag}_{}", std::process::id()))
+}
+
+#[test]
+fn unknown_id_exits_2_and_lists_the_registry() {
+    let out = run_all(&["--only", "NOPE"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown experiment id NOPE"), "{stderr}");
+    for id in ids() {
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.split_whitespace().next() == Some(id)),
+            "stderr does not list {id}:\n{stderr}"
+        );
+    }
+}
+
+#[test]
+fn malformed_seed_exits_2_with_usage() {
+    let out = run_all(&["--seed", "abc"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("bad --seed value: abc"), "{stderr}");
+    assert!(stderr.contains("usage: run_all"), "{stderr}");
+}
+
+#[test]
+fn lowercase_only_runs_and_indexes_just_that_experiment() {
+    let dir = temp_dir("only");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = run_all(&[
+        "--quick",
+        "--only",
+        "sec31a",
+        "--results",
+        dir.to_str().expect("utf-8 temp dir"),
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(dir.join("sec31a.txt").is_file());
+    assert!(dir.join("sec31a.json").is_file());
+    let summary = std::fs::read_to_string(dir.join("summary.json")).unwrap();
+    let named: Vec<&str> = summary
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("\"id\": \""))
+        .map(|rest| rest.trim_end_matches(['"', ',']))
+        .collect();
+    assert_eq!(named, ["SEC31A"], "{summary}");
+    let _ = std::fs::remove_dir_all(dir);
+}

@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 
 use ksr_bench::common::{write_summary, RunOpts};
-use ksr_bench::registry::{find, Experiment, REGISTRY};
+use ksr_bench::registry::{find, REGISTRY};
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ksr_pipeline_{tag}_{}", std::process::id()))
@@ -52,7 +52,7 @@ fn quick_run_writes_typed_json_results() {
         ..RunOpts::default()
     };
     let exp = find("SEC31A").expect("registered");
-    let out = exp.run(&opts);
+    let out = exp.plan(&opts).run_serial();
     assert_eq!(out.id, "SEC31A");
     assert!(!out.rows.is_empty(), "experiments must emit typed rows");
     out.write_to(&opts.results_dir).unwrap();

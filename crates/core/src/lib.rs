@@ -19,7 +19,7 @@
 //!   efficiency, and the Karp–Flatt experimentally determined serial
 //!   fraction.
 //! * [`table`] — plain-text table and series rendering so each experiment
-//!   binary can print the same rows/columns the paper's tables and figures
+//!   can print the same rows/columns the paper's tables and figures
 //!   contain.
 //! * [`trace`] — cycle-stamped event tracing: the [`trace::TraceEvent`]
 //!   vocabulary (ring slots, coherence transitions, snarfs,

@@ -2,7 +2,7 @@
 
 /// Summary statistics over a sample of `f64` observations.
 ///
-/// Used by every experiment binary to aggregate repeated episodes (e.g. the
+/// Used by every experiment to aggregate repeated episodes (e.g. the
 /// per-barrier completion times averaged in Figures 4 and 5).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Summary {

@@ -1,6 +1,6 @@
 //! Plain-text rendering of experiment output.
 //!
-//! Every experiment binary prints (a) paper-style tables and (b) figure
+//! Every experiment prints (a) paper-style tables and (b) figure
 //! *series* — the `(x, y)` point lists behind Figures 2–5 and 8 — in both a
 //! human-readable block and machine-readable CSV, so the harness output can
 //! be diffed against EXPERIMENTS.md and re-plotted.

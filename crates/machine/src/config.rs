@@ -150,13 +150,6 @@ impl MachineConfig {
         self
     }
 
-    /// Replace the interconnect topology.
-    #[must_use]
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
-
     /// Build the interconnect for this configuration. Capacity and shape
     /// errors come from the topology's own validation.
     pub fn build_fabric(&self) -> Result<Fabric> {

@@ -20,6 +20,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace --release"
 cargo test --workspace --release --quiet
 
+echo "==> hostbench build (compile-only: the benchmark builds against the workspace APIs)"
+cargo build --release --offline --manifest-path hostbench/Cargo.toml
+
 tmp_serial=$(mktemp -d)
 tmp_parallel=$(mktemp -d)
 tmp_cache=$(mktemp -d)
