@@ -1,8 +1,8 @@
 //! The `run_all` command line: the one front end that regenerates
 //! artifacts.
 //!
-//! Flags layer over the environment defaults (`KSR_QUICK`, `KSR_SEED`,
-//! `KSR_RESULTS`, `KSR_JOBS`, `KSR_CACHE`):
+//! The flags are the only configuration; nothing is read from the
+//! environment:
 //!
 //! * `--list` — print the registry (id, job count, title) and exit;
 //! * `--only ID[,ID...]` — run a subset (ids are case-insensitive);
@@ -10,8 +10,10 @@
 //! * `--seed N` — perturb every machine seed;
 //! * `--results DIR` — where result files go;
 //! * `--jobs N` / `-j N` — worker threads the executor schedules jobs
-//!   over (results are byte-identical at any value);
-//! * `--check` — verification mode (`KSR_CHECK=1`): every machine gets a
+//!   over (default: host parallelism capped at
+//!   [`MAX_DEFAULT_JOBS`](crate::common::MAX_DEFAULT_JOBS); results are
+//!   byte-identical at any value);
+//! * `--check` — verification mode: every machine gets a
 //!   `ksr-verify` coherence-checking sink, the race-detector and
 //!   schedule-lint suites run afterwards, and `violations.json` lands
 //!   next to the results (non-zero exit on any violation);
@@ -20,10 +22,10 @@
 //!   executes and populates the cache (bypassed under `--check`, whose
 //!   point is observing execution);
 //! * `--shard i/N` — run only shard `i` of `N` of the flattened job
-//!   list into the cache (requires `--cache`; writes no artifacts);
-//! * `--join` — assemble artifacts from a cache the shards populated:
-//!   a warm run that should execute nothing (requires `--cache`; warns
-//!   about any job it still had to run);
+//!   list into the cache (requires `--cache`; writes no artifacts). Once
+//!   every shard is done, a plain `--cache DIR` run over the same cache
+//!   assembles the artifacts, and its `[cache: ...]` line reports any
+//!   job it still had to execute;
 //! * `--prune` — delete cache entries from dead generations (stale
 //!   schemas, removed experiments, corrupt files), then exit (requires
 //!   `--cache`).
@@ -41,35 +43,40 @@ use std::time::Instant;
 
 use ksr_core::{Json, Progress};
 
-use crate::common::{write_summary, ExperimentOutput, RunOpts, Shard};
+use crate::common::{write_summary, ExperimentOutput, RunOpts, Shard, MAX_DEFAULT_JOBS};
 use crate::exec::{self, CacheStats};
 use crate::registry::{find, Experiment, REGISTRY};
 
 /// Parsed command line: run options plus `run_all`'s selection flags.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cli {
-    /// Effective run options (environment defaults + flags).
+    /// Effective run options (defaults + flags).
     pub opts: RunOpts,
     /// `--list`: print the registry instead of running.
     pub list: bool,
     /// `--only`: ids to run (empty means all).
     pub only: Vec<String>,
-    /// `--join`: expect a fully-populated cache and only reduce.
-    pub join: bool,
     /// `--prune`: drop dead cache generations instead of running.
     pub prune: bool,
 }
 
-/// Parse `args` (not including the program name) over environment
-/// defaults. Returns an error message for unknown or malformed flags and
-/// for inconsistent combinations (sharding without a cache, `--shard`
-/// with `--join` or `--check`).
+/// Parse `args` (not including the program name) over
+/// [`RunOpts::default`], with `--jobs` defaulting to the host
+/// parallelism capped at [`MAX_DEFAULT_JOBS`]. Returns an error message
+/// for unknown or malformed flags and for inconsistent combinations
+/// (sharding without a cache or with `--check`, pruning without a
+/// cache).
 pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+    let jobs = std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(MAX_DEFAULT_JOBS);
     let mut cli = Cli {
-        opts: RunOpts::from_env(),
+        opts: RunOpts {
+            jobs,
+            ..RunOpts::default()
+        },
         list: false,
         only: Vec::new(),
-        join: false,
         prune: false,
     };
     let mut args = args.into_iter();
@@ -79,7 +86,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
             "--full" => cli.opts.quick = false,
             "--check" => cli.opts.check = true,
             "--list" => cli.list = true,
-            "--join" => cli.join = true,
             "--prune" => cli.prune = true,
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value")?;
@@ -115,12 +121,9 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
     }
     if cli.opts.shard.is_some() {
         if cli.opts.cache.is_none() {
-            return Err("--shard requires --cache DIR (or KSR_CACHE): shards \
-                 communicate through the cache"
-                .into());
-        }
-        if cli.join {
-            return Err("--shard and --join are different phases: shard first, then join".into());
+            return Err(
+                "--shard requires --cache DIR: shards communicate through the cache".into(),
+            );
         }
         if cli.opts.check {
             return Err(
@@ -130,13 +133,8 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
             );
         }
     }
-    if cli.join && cli.opts.cache.is_none() {
-        return Err("--join requires --cache DIR (or KSR_CACHE): it reduces from the cache".into());
-    }
     if cli.prune && cli.opts.cache.is_none() {
-        return Err(
-            "--prune requires --cache DIR (or KSR_CACHE): it needs a cache to clean".into(),
-        );
+        return Err("--prune requires --cache DIR: it needs a cache to clean".into());
     }
     Ok(cli)
 }
@@ -144,7 +142,7 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
 fn usage() -> String {
     format!(
         "usage: run_all [--quick|--full] [--check] [--seed N] [--results DIR] [--jobs N] \
-         [--cache DIR] [--shard i/N] [--join] [--list] [--only ID,ID...] [--prune]\n\
+         [--cache DIR] [--shard i/N] [--list] [--only ID,ID...] [--prune]\n\
          ids: {}",
         crate::registry::ids().join(", ")
     )
@@ -157,60 +155,28 @@ fn usage() -> String {
 /// [`crate::check::finalize`] runs the race/lint suites and writes
 /// `violations.json`.
 ///
-/// With `opts.shard` set this is a shard run instead: execute this
-/// process's slice of the job list into the cache and stop — no
-/// rendering, no artifacts except `timings.json` (which carries the
+/// With `opts.shard` set the executor runs only this process's slice of
+/// the job list into the cache and reduces nothing, so the run writes
+/// no artifacts except `timings.json` (which carries the
 /// hit/miss/skip counters).
-fn run_selection(selected: &[&Experiment], opts: &RunOpts, join: bool) -> ExitCode {
+fn run_selection(selected: &[&Experiment], opts: &RunOpts) -> ExitCode {
     let plans: Vec<crate::exec::ExperimentPlan> = selected.iter().map(|e| e.plan(opts)).collect();
     let wall_start = Instant::now();
-    let (progress, drainer) = Progress::stderr();
-
-    if let Some(shard) = opts.shard {
-        let report = exec::execute_shard(plans, opts, &progress);
-        drop(progress);
-        drainer.join();
-        let wall_seconds = wall_start.elapsed().as_secs_f64();
-        let cache_dir = opts.cache.as_deref().expect("--shard requires --cache");
-        eprintln!(
-            "[shard {shard}: {} executed, {} already cached, {} left to other shards → {}]",
-            report.cache.misses,
-            report.cache.hits,
-            report.cache.skipped,
-            cache_dir.display(),
-        );
-        if let Err(e) = write_timings(
-            &report.timings,
-            wall_seconds,
-            opts,
-            Some((report.cache, report.total_jobs)),
-        ) {
-            eprintln!("[warning: could not write timings: {e}]");
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let report = exec::execute(plans, opts, &progress);
-    drop(progress);
-    drainer.join();
+    let report = exec::execute(plans, opts, &Progress::stderr());
     let wall_seconds = wall_start.elapsed().as_secs_f64();
 
     if let Some(stats) = report.cache {
         let cache_dir = opts.cache.as_deref().expect("stats imply a cache");
+        let skipped = opts.shard.map_or_else(String::new, |shard| {
+            format!(", {} skipped (shard {shard})", stats.skipped)
+        });
         eprintln!(
-            "[cache: {} hit(s), {} miss(es) of {} job(s) → {}]",
+            "[cache: {} hit(s), {} miss(es){skipped} of {} job(s) → {}]",
             stats.hits,
             stats.misses,
             report.total_jobs,
             cache_dir.display(),
         );
-        if join && stats.misses > 0 {
-            eprintln!(
-                "[warning: --join executed {} job(s) missing from the cache — \
-                 did every shard finish?]",
-                stats.misses
-            );
-        }
     } else if opts.cache.is_some() && opts.check {
         eprintln!("[cache: bypassed under --check (violations are observed, not cached)]");
     }
@@ -219,8 +185,12 @@ fn run_selection(selected: &[&Experiment], opts: &RunOpts, join: bool) -> ExitCo
     let mut checks = Vec::new();
     let mut timings = Vec::new();
     for (exp, result) in selected.iter().zip(report.results) {
-        println!("{}", result.output.render());
-        match result.output.write_to(&opts.results_dir) {
+        timings.push((exp.id(), result.seconds));
+        let Some(output) = result.output else {
+            continue; // a shard run reduces nothing
+        };
+        println!("{}", output.render());
+        match output.write_to(&opts.results_dir) {
             Ok(path) => eprintln!("[written: {}]", path.display()),
             Err(e) => eprintln!("[warning: could not write results file: {e}]"),
         }
@@ -234,15 +204,16 @@ fn run_selection(selected: &[&Experiment], opts: &RunOpts, join: bool) -> ExitCo
             );
             checks.push((exp.id(), check));
         }
-        timings.push((exp.id(), result.seconds));
-        outputs.push(result.output);
+        outputs.push(output);
     }
 
-    match write_summary(&outputs, opts) {
-        Ok(path) => eprintln!("[summary: {}]", path.display()),
-        Err(e) => {
-            eprintln!("error: could not write summary: {e}");
-            return ExitCode::FAILURE;
+    if opts.shard.is_none() {
+        match write_summary(&outputs, opts) {
+            Ok(path) => eprintln!("[summary: {}]", path.display()),
+            Err(e) => {
+                eprintln!("error: could not write summary: {e}");
+                return ExitCode::FAILURE;
+            }
         }
     }
     let cache = report.cache.map(|stats| (stats, report.total_jobs));
@@ -352,7 +323,7 @@ pub fn run_all_main() -> ExitCode {
         }
         sel
     };
-    run_selection(&selected, &cli.opts, cli.join)
+    run_selection(&selected, &cli.opts)
 }
 
 /// Delete cache entries no current experiment generation can ever hit:
@@ -414,7 +385,23 @@ mod tests {
         assert_eq!(cli.opts.results_dir, std::path::PathBuf::from("out"));
         assert_eq!(cli.opts.jobs, 4);
         assert_eq!(cli.only, ["FIG4", "TAB1"]);
-        assert!(!cli.join);
+        assert!(cli.opts.cache.is_none());
+        assert!(!cli.opts.check);
+    }
+
+    #[test]
+    fn no_flags_means_default_options_and_host_jobs() {
+        let cli = parse_args(Vec::new()).unwrap();
+        assert!((1..=MAX_DEFAULT_JOBS).contains(&cli.opts.jobs));
+        let jobs = cli.opts.jobs;
+        assert_eq!(
+            cli.opts,
+            RunOpts {
+                jobs,
+                ..RunOpts::default()
+            }
+        );
+        assert!(!cli.list && !cli.prune && cli.only.is_empty());
     }
 
     #[test]
@@ -437,8 +424,7 @@ mod tests {
         let cli = parse_args(["--cache", "cdir", "--shard", "2/4"].map(String::from)).unwrap();
         assert_eq!(cli.opts.cache, Some(std::path::PathBuf::from("cdir")));
         assert_eq!(cli.opts.shard, Some(Shard { index: 2, count: 4 }));
-        let cli = parse_args(["--cache", "cdir", "--join"].map(String::from)).unwrap();
-        assert!(cli.join);
+        let cli = parse_args(["--cache", "cdir"].map(String::from)).unwrap();
         assert!(cli.opts.shard.is_none());
     }
 
@@ -457,14 +443,6 @@ mod tests {
         assert!(
             parse_args(["--shard", "1/2"].map(String::from)).is_err(),
             "--shard without --cache"
-        );
-        assert!(
-            parse_args(["--join"].map(String::from)).is_err(),
-            "--join without --cache"
-        );
-        assert!(
-            parse_args(["--cache", "c", "--shard", "1/2", "--join"].map(String::from)).is_err(),
-            "--shard with --join"
         );
         assert!(
             parse_args(["--cache", "c", "--shard", "1/2", "--check"].map(String::from)).is_err(),

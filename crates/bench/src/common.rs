@@ -11,36 +11,36 @@ use ksr_core::Json;
 /// Options for one experiment run — the single parameter every
 /// [`crate::registry::Experiment`] planner receives.
 ///
-/// Environment variables provide the defaults ([`RunOpts::from_env`]);
-/// `run_all` layers CLI flags on top.
+/// `run_all` builds them from its flags alone
+/// ([`crate::cli::parse_args`]); nothing is read from the environment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOpts {
-    /// Reduced sweeps for CI and tests (`KSR_QUICK=1`).
+    /// Reduced sweeps for CI and tests (`--quick`).
     pub quick: bool,
-    /// Perturbation XORed into every machine seed (`KSR_SEED`, default
+    /// Perturbation XORed into every machine seed (`--seed N`, default
     /// 0 — i.e. the paper-matching baseline seeds).
     pub seed: u64,
-    /// Directory result files are written under (`KSR_RESULTS`,
+    /// Directory result files are written under (`--results DIR`,
     /// default `results/`).
     pub results_dir: PathBuf,
-    /// Verification mode (`KSR_CHECK=1` or `--check`): attach a
-    /// `ksr-verify` coherence-checking sink to every machine built, run
-    /// the race-detector and schedule-lint suites afterwards, and write
+    /// Verification mode (`--check`): attach a `ksr-verify`
+    /// coherence-checking sink to every machine built, run the
+    /// race-detector and schedule-lint suites afterwards, and write
     /// `violations.json`. Checking observes the trace only — cycle
     /// counts and result files are bit-identical with it on or off.
     pub check: bool,
-    /// Worker threads the executor schedules jobs over (`--jobs N` /
-    /// `KSR_JOBS`, default from the environment is the host parallelism
-    /// capped at [`MAX_DEFAULT_JOBS`]). Results are byte-identical at
-    /// any value — every job is a pure (config, seed) → rows function
-    /// and the reduce runs in job order. Not recorded in `summary.json`
-    /// for exactly that reason.
+    /// Worker threads the executor schedules jobs over (`--jobs N`;
+    /// `run_all` defaults to the host parallelism capped at
+    /// [`MAX_DEFAULT_JOBS`]). Results are byte-identical at any value —
+    /// every job is a pure (config, seed) → rows function and the
+    /// reduce runs in job order. Not recorded in `summary.json` for
+    /// exactly that reason.
     pub jobs: usize,
-    /// Results cache directory (`--cache DIR` / `KSR_CACHE`): jobs are
-    /// keyed by the fingerprint of their canonical descriptor, hits skip
-    /// execution, misses execute and populate the cache. `None` disables
-    /// caching. Like `jobs`, never recorded in result files — a warm run
-    /// is byte-identical to a cold one.
+    /// Results cache directory (`--cache DIR`): jobs are keyed by the
+    /// fingerprint of their canonical descriptor, hits skip execution,
+    /// misses execute and populate the cache. `None` disables caching.
+    /// Like `jobs`, never recorded in result files — a warm run is
+    /// byte-identical to a cold one.
     pub cache: Option<PathBuf>,
     /// Shard assignment (`--shard i/N`): run only this process's slice
     /// of the flattened job list into the cache, skipping reduces and
@@ -89,7 +89,7 @@ impl std::fmt::Display for Shard {
 }
 
 /// Cap on the jobs default inferred from host parallelism; explicit
-/// `--jobs` / `KSR_JOBS` values may exceed it.
+/// `--jobs` values may exceed it.
 pub const MAX_DEFAULT_JOBS: usize = 16;
 
 impl Default for RunOpts {
@@ -107,26 +107,6 @@ impl Default for RunOpts {
 }
 
 impl RunOpts {
-    /// Options taken entirely from the environment: `KSR_QUICK`,
-    /// `KSR_SEED`, `KSR_RESULTS`, `KSR_CHECK`, `KSR_JOBS`, `KSR_CACHE`.
-    /// (Sharding is per-invocation, so `--shard` stays CLI-only.)
-    #[must_use]
-    pub fn from_env() -> Self {
-        let seed = std::env::var("KSR_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        Self {
-            quick: quick_mode(),
-            seed,
-            results_dir: results_dir(),
-            check: check_mode(),
-            jobs: default_jobs(),
-            cache: cache_dir(),
-            shard: None,
-        }
-    }
-
     /// Quick-mode options with default seed and results directory.
     #[must_use]
     pub fn quick() -> Self {
@@ -138,7 +118,7 @@ impl RunOpts {
 
     /// Derive a machine seed from an experiment's baseline seed: the
     /// baseline XORed with [`RunOpts::seed`], so the default (0) leaves
-    /// every published measurement untouched while `KSR_SEED` perturbs
+    /// every published measurement untouched while `--seed` perturbs
     /// all of them coherently.
     #[must_use]
     pub fn machine_seed(&self, base: u64) -> u64 {
@@ -372,54 +352,6 @@ pub fn write_summary(outputs: &[ExperimentOutput], opts: &RunOpts) -> std::io::R
     body.push('\n');
     fs::write(&path, body)?;
     Ok(path)
-}
-
-/// Whether quick mode is active (smaller sweeps for CI and tests). Set
-/// with `KSR_QUICK=1`.
-#[must_use]
-pub fn quick_mode() -> bool {
-    std::env::var_os("KSR_QUICK").is_some_and(|v| v != "0")
-}
-
-/// Whether verification mode is active (see [`RunOpts::check`]). Set
-/// with `KSR_CHECK=1`.
-#[must_use]
-pub fn check_mode() -> bool {
-    std::env::var_os("KSR_CHECK").is_some_and(|v| v != "0")
-}
-
-/// Default results directory: `results/` under the workspace root (or the
-/// current directory when run elsewhere).
-#[must_use]
-pub fn results_dir() -> PathBuf {
-    PathBuf::from(std::env::var_os("KSR_RESULTS").unwrap_or_else(|| "results".into()))
-}
-
-/// Default cache directory from `KSR_CACHE`; unset (or empty) disables
-/// caching.
-#[must_use]
-pub fn cache_dir() -> Option<PathBuf> {
-    std::env::var_os("KSR_CACHE")
-        .filter(|v| !v.is_empty())
-        .map(PathBuf::from)
-}
-
-/// Default worker count: `KSR_JOBS` if set, otherwise the host's
-/// available parallelism capped at [`MAX_DEFAULT_JOBS`].
-#[must_use]
-pub fn default_jobs() -> usize {
-    std::env::var("KSR_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or_else(
-            || {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-                    .min(MAX_DEFAULT_JOBS)
-            },
-            |j| j.max(1),
-        )
 }
 
 /// Processor counts for a 32-cell sweep.

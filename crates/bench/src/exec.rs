@@ -14,9 +14,9 @@
 //! job index drives `--shard i/N` partitioning — both possible only
 //! because jobs are pure functions of their descriptor.
 //!
-//! [`execute`] schedules every job of every plan over a pool of
-//! `opts.jobs` scoped worker threads. Determinism is structural, not
-//! accidental:
+//! [`execute`] schedules every job of every plan (under `--shard`, only
+//! the jobs the shard owns) over a pool of `opts.jobs` scoped worker
+//! threads. Determinism is structural, not accidental:
 //!
 //! * each job builds its own [`Machine`](ksr_machine::Machine)s from an
 //!   explicit seed, and the simulator is deterministic per
@@ -328,11 +328,12 @@ impl std::fmt::Debug for ExperimentPlan {
 /// deliberately stays out of the byte-compared result files.
 #[derive(Debug)]
 pub struct ExperimentResult {
-    /// The reduced output (identical to `plan.run_serial()`).
-    pub output: ExperimentOutput,
-    /// Summed wall-clock seconds of the experiment's jobs (for
-    /// `timings.json`; nondeterministic by nature). Cache hits count as
-    /// zero.
+    /// The reduced output (identical to `plan.run_serial()`) — `None`
+    /// for a shard run, which skips the reduce.
+    pub output: Option<ExperimentOutput>,
+    /// Summed wall-clock seconds of the experiment's executed jobs (for
+    /// `timings.json`; nondeterministic by nature). Cache hits and jobs
+    /// left to other shards count as zero.
     pub seconds: f64,
     /// Aggregated coherence-checking results, merged in job order —
     /// `Some` exactly when `opts.check` was set.
@@ -360,20 +361,6 @@ pub struct ExecReport {
     /// Cache counters — `Some` exactly when a cache was in use (i.e.
     /// `opts.cache` set and not bypassed by `opts.check`).
     pub cache: Option<CacheStats>,
-    /// Total jobs across every plan.
-    pub total_jobs: usize,
-}
-
-/// What [`execute_shard`] returns: counters only — a shard run produces
-/// cache entries, not artifacts.
-#[derive(Debug)]
-pub struct ShardReport {
-    /// Cache counters: `hits` were already present, `misses` were
-    /// executed and stored, `skipped` belong to other shards.
-    pub cache: CacheStats,
-    /// Summed wall-clock seconds of this shard's jobs, per experiment
-    /// (in plan order; zero for experiments with no jobs in the shard).
-    pub timings: Vec<(&'static str, f64)>,
     /// Total jobs across every plan (all shards together).
     pub total_jobs: usize,
 }
@@ -432,13 +419,22 @@ fn run_job(item: Job, check: bool, cache: Option<&ResultsCache>, progress: &Prog
 /// [`ExecReport::cache`]. Progress (start/finish/cached per job) goes
 /// through `progress`; nothing here touches stdout, and the only
 /// filesystem traffic is the cache directory.
+///
+/// With `opts.shard = Some(i/N)` only the jobs the shard owns run: those
+/// whose 0-based flattened index `idx` satisfies `idx % N == i - 1`
+/// (round-robin, so each shard gets an even slice of every experiment's
+/// sweep rather than whole experiments). The rest count as
+/// [`CacheStats::skipped`], and no reduce runs, so every
+/// [`ExperimentResult::output`] is `None`: a shard run produces cache
+/// entries, not artifacts. Once all N shards have filled the cache, a
+/// plain cached run executes nothing and reduces to artifacts
+/// byte-identical to an unsharded run.
 #[must_use]
 pub fn execute(plans: Vec<ExperimentPlan>, opts: &RunOpts, progress: &Progress) -> ExecReport {
     let total: usize = plans.iter().map(|p| p.jobs.len()).sum();
-    let workers = opts.jobs.max(1).min(total.max(1));
     let cache = active_cache(opts);
 
-    // Split every plan into its queue items and its reduce.
+    // Split every plan into the queue items this run owns and its reduce.
     let mut reduces = Vec::with_capacity(plans.len());
     let mut queue = VecDeque::with_capacity(total);
     let mut slots: Vec<Vec<Option<JobSlot>>> = Vec::with_capacity(plans.len());
@@ -446,20 +442,26 @@ pub fn execute(plans: Vec<ExperimentPlan>, opts: &RunOpts, progress: &Progress) 
     for (pi, plan) in plans.into_iter().enumerate() {
         slots.push((0..plan.jobs.len()).map(|_| None).collect());
         for (ji, item) in plan.jobs.into_iter().enumerate() {
+            if opts.shard.is_none_or(|shard| shard.owns(index)) {
+                queue.push_back(QueueItem {
+                    plan: pi,
+                    job: ji,
+                    index: index + 1,
+                    item,
+                });
+            }
             index += 1;
-            queue.push_back(QueueItem {
-                plan: pi,
-                job: ji,
-                index,
-                item,
-            });
         }
-        reduces.push((plan.id, plan.title, plan.reduce));
+        reduces.push(plan.reduce);
     }
+    let workers = opts.jobs.max(1).min(queue.len().max(1));
+    let stats = Mutex::new(CacheStats {
+        skipped: total - queue.len(),
+        ..CacheStats::default()
+    });
 
     let queue = Mutex::new(queue);
     let slots = Mutex::new(slots);
-    let stats = Mutex::new(CacheStats::default());
     let check = opts.check;
     std::thread::scope(|s| {
         for _ in 0..workers {
@@ -495,7 +497,7 @@ pub fn execute(plans: Vec<ExperimentPlan>, opts: &RunOpts, progress: &Progress) 
     let results = reduces
         .into_iter()
         .zip(slots)
-        .map(|((_, _, reduce), plan_slots)| {
+        .map(|(reduce, plan_slots)| {
             let mut rows = Vec::with_capacity(plan_slots.len());
             let mut seconds = 0.0;
             let mut merged: Option<ExpCheck> = if check {
@@ -504,7 +506,13 @@ pub fn execute(plans: Vec<ExperimentPlan>, opts: &RunOpts, progress: &Progress) 
                 None
             };
             for slot in plan_slots {
-                let slot = slot.expect("executor finished with an unfilled job slot");
+                let Some(slot) = slot else {
+                    assert!(
+                        opts.shard.is_some(),
+                        "executor finished with an unfilled job slot"
+                    );
+                    continue;
+                };
                 rows.push(slot.rows);
                 seconds += slot.seconds;
                 if let (Some(acc), Some(jc)) = (merged.as_mut(), slot.check) {
@@ -512,7 +520,7 @@ pub fn execute(plans: Vec<ExperimentPlan>, opts: &RunOpts, progress: &Progress) 
                 }
             }
             ExperimentResult {
-                output: reduce(JobResults::new(rows)),
+                output: opts.shard.is_none().then(|| reduce(JobResults::new(rows))),
                 seconds,
                 check: merged,
             }
@@ -522,88 +530,7 @@ pub fn execute(plans: Vec<ExperimentPlan>, opts: &RunOpts, progress: &Progress) 
         results,
         cache: cache
             .is_some()
-            .then(|| *stats.lock().expect("cache stats poisoned")),
-        total_jobs: total,
-    }
-}
-
-/// Execute only this process's share of the flattened job list and
-/// populate the cache — no reduces, no artifacts. Shard `i/N` owns the
-/// jobs whose 0-based global index `idx` satisfies `idx % N == i - 1`
-/// (round-robin, so each shard gets an even slice of every experiment's
-/// sweep rather than whole experiments). Jobs already present in the
-/// cache are not re-executed.
-///
-/// Requires `opts.shard` and `opts.cache` to be set (the CLI enforces
-/// this); after all N shards complete, a `--join` run over the same
-/// cache executes nothing and reduces to artifacts byte-identical to an
-/// unsharded run.
-#[must_use]
-pub fn execute_shard(
-    plans: Vec<ExperimentPlan>,
-    opts: &RunOpts,
-    progress: &Progress,
-) -> ShardReport {
-    let shard = opts.shard.expect("execute_shard requires opts.shard");
-    let cache = ResultsCache::new(
-        opts.cache
-            .as_deref()
-            .expect("execute_shard requires opts.cache"),
-    );
-    let total: usize = plans.iter().map(|p| p.jobs.len()).sum();
-    let workers = opts.jobs.max(1).min(total.max(1));
-
-    let mut timings: Vec<(&'static str, f64)> = Vec::with_capacity(plans.len());
-    let mut queue = VecDeque::new();
-    let mut skipped = 0;
-    let mut index = 0;
-    for (pi, plan) in plans.into_iter().enumerate() {
-        timings.push((plan.id, 0.0));
-        for item in plan.jobs {
-            if shard.owns(index) {
-                queue.push_back(QueueItem {
-                    plan: pi,
-                    job: 0, // unused: shard runs fill no reduce slots
-                    index: index + 1,
-                    item,
-                });
-            } else {
-                skipped += 1;
-            }
-            index += 1;
-        }
-    }
-
-    let queue = Mutex::new(queue);
-    let stats = Mutex::new(CacheStats {
-        skipped,
-        ..CacheStats::default()
-    });
-    let timings = Mutex::new(timings);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let Some(next) = queue.lock().expect("job queue poisoned").pop_front() else {
-                    break;
-                };
-                let label = next.item.label().to_string();
-                if cache.load(next.item.desc()).is_some() {
-                    progress.cached(&label, next.index, total);
-                    stats.lock().expect("cache stats poisoned").hits += 1;
-                    continue;
-                }
-                progress.started(&label, next.index, total);
-                let slot = run_job(next.item, false, Some(&cache), progress);
-                progress.finished(&label, next.index, total, (slot.seconds * 1000.0) as u64);
-                stats.lock().expect("cache stats poisoned").misses += 1;
-                timings.lock().expect("shard timings poisoned")[next.plan].1 += slot.seconds;
-            });
-        }
-    });
-
-    ShardReport {
-        cache: stats.into_inner().expect("cache stats poisoned"),
-        timings: timings.into_inner().expect("shard timings poisoned"),
+            .then(|| stats.into_inner().expect("cache stats poisoned")),
         total_jobs: total,
     }
 }
@@ -642,6 +569,14 @@ mod tests {
         })
     }
 
+    /// The reduced output of plan `i` (every unsharded run reduces).
+    fn output(report: &ExecReport, i: usize) -> &ExperimentOutput {
+        report.results[i]
+            .output
+            .as_ref()
+            .expect("unsharded runs reduce")
+    }
+
     fn temp_cache_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("ksr_exec_cache_{}_{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -663,7 +598,7 @@ mod tests {
             );
             assert_eq!(report.results.len(), 1);
             assert_eq!(report.total_jobs, 3);
-            assert_eq!(report.results[0].output.text, serial.text, "jobs={jobs}");
+            assert_eq!(output(&report, 0).text, serial.text, "jobs={jobs}");
             assert!(report.results[0].check.is_none());
             assert!(report.cache.is_none(), "no cache configured");
         }
@@ -677,9 +612,9 @@ mod tests {
         };
         let plans = vec![toy_plan("A", &[1.0]), toy_plan("B", &[2.0, 4.0])];
         let report = execute(plans, &opts, &Progress::disabled());
-        assert_eq!(report.results[0].output.id, "A");
-        assert_eq!(report.results[1].output.id, "B");
-        assert!(report.results[1].output.text.contains("v[1] = 4"));
+        assert_eq!(output(&report, 0).id, "A");
+        assert_eq!(output(&report, 1).id, "B");
+        assert!(output(&report, 1).text.contains("v[1] = 4"));
         assert!(report.results.iter().all(|r| r.seconds >= 0.0));
     }
 
@@ -690,7 +625,7 @@ mod tests {
             &RunOpts::default(),
             &Progress::disabled(),
         );
-        assert_eq!(report.results[0].output.id, "E");
+        assert_eq!(output(&report, 0).id, "E");
     }
 
     #[test]
@@ -793,7 +728,8 @@ mod tests {
             })
         );
         assert_eq!(
-            warm.results[0].output.text, cold.results[0].output.text,
+            output(&warm, 0).text,
+            output(&cold, 0).text,
             "cached rows must reduce to the identical output"
         );
         // Every event is a Cached notification — nothing started.
@@ -838,12 +774,17 @@ mod tests {
                 shard: Some(crate::common::Shard { index, count: 2 }),
                 ..RunOpts::default()
             };
-            let report = execute_shard(mk(), &opts, &Progress::disabled());
+            let report = execute(mk(), &opts, &Progress::disabled());
             assert_eq!(report.total_jobs, 5);
+            assert!(
+                report.results.iter().all(|r| r.output.is_none()),
+                "a shard run skips the reduce"
+            );
             let own = if index == 1 { 3 } else { 2 }; // indices {0,2,4} vs {1,3}
-            assert_eq!(report.cache.misses, own);
-            assert_eq!(report.cache.skipped, 5 - own);
-            assert_eq!(report.cache.hits, 0);
+            let stats = report.cache.expect("cache active");
+            assert_eq!(stats.misses, own);
+            assert_eq!(stats.skipped, 5 - own);
+            assert_eq!(stats.hits, 0);
         }
         // Re-running a shard is all hits, no re-execution.
         let opts = RunOpts {
@@ -851,9 +792,11 @@ mod tests {
             shard: Some(crate::common::Shard { index: 1, count: 2 }),
             ..RunOpts::default()
         };
-        let rerun = execute_shard(mk(), &opts, &Progress::disabled());
-        assert_eq!(rerun.cache.hits, 3);
-        assert_eq!(rerun.cache.misses, 0);
+        let rerun = execute(mk(), &opts, &Progress::disabled())
+            .cache
+            .expect("cache active");
+        assert_eq!(rerun.hits, 3);
+        assert_eq!(rerun.misses, 0);
         // The union of both shards serves a full run entirely from
         // cache, byte-identical to a serial one.
         let serial = mk().pop().unwrap().run_serial();
@@ -870,7 +813,7 @@ mod tests {
                 skipped: 0
             })
         );
-        assert_eq!(joined.results[0].output.text, serial.text);
+        assert_eq!(output(&joined, 0).text, serial.text);
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -9,25 +9,24 @@
 //! [`exec::ExperimentPlan`] — a list of pure [`exec::Job`]s (config +
 //! seed + program factory → typed [`MetricRow`]s) plus an ordered
 //! reduce — and [`exec::execute`] schedules the jobs of many plans over
-//! a pool of worker threads (`--jobs N` / `KSR_JOBS`). Because every
+//! a pool of worker threads (`--jobs N`). Because every
 //! job is pure and the reduce runs in job order, `results/*.json` and
 //! `summary.json` are byte-identical at any worker count.
 //!
 //! Purity also powers the sweep-at-scale machinery: every job carries a
 //! canonical [`exec::JobDesc`] whose fingerprint keys the
 //! content-addressed results cache ([`cache::ResultsCache`],
-//! `--cache DIR` / `KSR_CACHE` — warm re-runs execute nothing), and
-//! `--shard i/N` / `--join` split one sweep across processes while the
-//! ordered reduce keeps the final artifacts byte-identical to an
-//! unsharded run.
+//! `--cache DIR` — warm re-runs execute nothing), and `--shard i/N`
+//! splits one sweep across processes that share a cache: once every
+//! shard is done, a plain cached run executes nothing and the ordered
+//! reduce keeps the artifacts byte-identical to an unsharded run.
 //!
 //! Each reduce returns an [`ExperimentOutput`] carrying rendered text,
 //! figure series, and typed [`MetricRow`]s; `write_to` persists
 //! `<id>.txt` / `<id>.csv` / `<id>.json`, and [`common::write_summary`]
 //! indexes a whole run in `summary.json`. The `run_all` binary is the
-//! one CLI front end (`--list`, `--only FIG4,TAB1`, `--quick`, `--jobs`);
-//! `KSR_QUICK=1`, `KSR_SEED`, `KSR_RESULTS`, and `KSR_JOBS` provide the
-//! [`RunOpts`] defaults.
+//! one CLI front end (`--list`, `--only FIG4,TAB1`, `--quick`, `--jobs`),
+//! and its flags are the only way to set [`RunOpts`].
 
 #![warn(missing_docs)]
 
@@ -57,7 +56,6 @@ pub mod table3_sp;
 pub use cache::ResultsCache;
 pub use common::{ExperimentOutput, MetricRow, RunOpts, Shard};
 pub use exec::{
-    execute, execute_shard, CacheStats, ExecReport, ExperimentPlan, ExperimentResult, Job, JobDesc,
-    JobResults, ShardReport,
+    execute, CacheStats, ExecReport, ExperimentPlan, ExperimentResult, Job, JobDesc, JobResults,
 };
 pub use registry::{Experiment, REGISTRY};

@@ -253,15 +253,15 @@ pub fn write_report(doc: &Json, dir: &Path) -> std::io::Result<PathBuf> {
 /// `perf [--reps N] [--results DIR] [--gate BASELINE]`.
 ///
 /// Prints the per-case numbers to stderr and the report path on
-/// success; `bench.json` lands in the results directory (default from
-/// `KSR_RESULTS`, as for `run_all`). With `--gate`, the fresh
+/// success; `bench.json` lands in the results directory (default
+/// `results`, as for `run_all`). With `--gate`, the fresh
 /// minima are compared against the named baseline `bench.json` first
 /// and a regression past the tolerance exits non-zero without touching
 /// any file.
 #[must_use]
 pub fn perf_main() -> ExitCode {
     let mut reps = 3usize;
-    let mut dir = crate::common::results_dir();
+    let mut dir = PathBuf::from("results");
     let mut gate: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

@@ -1,26 +1,41 @@
 //! The `run_all` front door as a user meets it: spawn the binary and
 //! check exit codes, stderr, and the files a selection leaves behind.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use ksr_bench::registry::ids;
 
-/// Run `run_all` with `args`, isolated from any `KSR_*` defaults in the
-/// caller's environment.
+/// Run `run_all` with `args`.
 fn run_all(args: &[&str]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
-    for var in [
-        "KSR_QUICK",
-        "KSR_SEED",
-        "KSR_RESULTS",
-        "KSR_JOBS",
-        "KSR_CACHE",
-        "KSR_CHECK",
-    ] {
-        cmd.env_remove(var);
-    }
-    cmd.args(args).output().expect("spawn run_all")
+    Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(args)
+        .output()
+        .expect("spawn run_all")
+}
+
+/// Run `run_all` with `args` and require exit 0; returns stderr.
+fn run_all_ok(args: &[&str]) -> String {
+    let out = run_all(args);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(0), "run_all {args:?}:\n{stderr}");
+    stderr
+}
+
+/// Every artifact in `dir` except the wall-clock `timings.json`, as
+/// (name, bytes) sorted by name.
+fn artifacts(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("read results dir")
+        .map(|e| e.expect("dir entry"))
+        .filter(|e| e.file_name() != "timings.json")
+        .map(|e| {
+            let bytes = std::fs::read(e.path()).expect("read artifact");
+            (e.file_name().into_string().expect("utf-8 name"), bytes)
+        })
+        .collect();
+    files.sort();
+    files
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -79,4 +94,43 @@ fn lowercase_only_runs_and_indexes_just_that_experiment() {
         .collect();
     assert_eq!(named, ["SEC31A"], "{summary}");
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn shards_then_a_plain_cached_run_match_an_uncached_run() {
+    let (cache, sharded, plain) = (
+        temp_dir("shard_cache"),
+        temp_dir("shard"),
+        temp_dir("plain"),
+    );
+    for dir in [&cache, &sharded, &plain] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    let path = |dir: &PathBuf| dir.to_str().expect("utf-8 temp dir").to_string();
+    let (cache_s, sharded_s, plain_s) = (path(&cache), path(&sharded), path(&plain));
+    let base = ["--quick", "--only", "SEC31A"];
+
+    for shard in ["1/2", "2/2"] {
+        let args = [&base[..], &["--cache", &cache_s, "--shard", shard]].concat();
+        let stderr = run_all_ok(&[&args[..], &["--results", &sharded_s]].concat());
+        assert!(stderr.contains("skipped (shard "), "{stderr}");
+        assert!(
+            !sharded.join("summary.json").exists(),
+            "a shard run writes no artifacts"
+        );
+    }
+    let stderr = run_all_ok(&[&base[..], &["--cache", &cache_s, "--results", &sharded_s]].concat());
+    assert!(stderr.contains(" 0 miss(es)"), "{stderr}");
+    run_all_ok(&[&base[..], &["--results", &plain_s]].concat());
+
+    let expected = artifacts(&plain);
+    assert!(expected.iter().any(|(name, _)| name == "sec31a.json"));
+    assert_eq!(
+        artifacts(&sharded),
+        expected,
+        "shards plus a cached run must byte-match an uncached run"
+    );
+    for dir in [cache, sharded, plain] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

@@ -49,15 +49,15 @@ fn run_at(jobs: usize, dir: &Path) {
     let mut outputs = Vec::new();
     let mut checks = Vec::new();
     for (id, result) in IDS.iter().zip(report.results) {
-        result
-            .output
+        let output = result.output.expect("unsharded runs reduce");
+        output
             .write_to(&opts.results_dir)
             .expect("write result files");
         checks.push((
             *id,
             result.check.expect("check mode collects per-job sinks"),
         ));
-        outputs.push(result.output);
+        outputs.push(output);
     }
     write_summary(&outputs, &opts).expect("write summary");
     let (path, clean) = check::finalize(&checks, &opts).expect("write violations");

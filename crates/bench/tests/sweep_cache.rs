@@ -10,9 +10,9 @@
 //! * changing the run seed misses on every job (no stale reuse);
 //! * a corrupted cache entry degrades to a miss — the job re-runs and
 //!   the artifacts stay byte-identical, never wrong;
-//! * `--shard 1/2` ∪ `--shard 2/2` followed by a join reduces to
-//!   artifacts byte-identical to an unsharded run without executing
-//!   anything.
+//! * `--shard 1/2` ∪ `--shard 2/2` followed by a plain cached run
+//!   reduces to artifacts byte-identical to an unsharded run without
+//!   executing anything.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -54,11 +54,11 @@ fn run_and_persist(opts: &RunOpts) -> Option<CacheStats> {
     let report = exec::execute(plans(opts), opts, &Progress::disabled());
     let mut outputs = Vec::new();
     for result in report.results {
-        result
-            .output
+        let output = result.output.expect("unsharded runs reduce");
+        output
             .write_to(&opts.results_dir)
             .expect("write result files");
-        outputs.push(result.output);
+        outputs.push(output);
     }
     write_summary(&outputs, opts).expect("write summary");
     report.cache
@@ -194,22 +194,27 @@ fn sharded_halves_join_to_an_unsharded_run_byte_for_byte() {
         let mut o = opts(0, Some(&cache), &join_dir);
         o.jobs = jobs;
         o.shard = Some(Shard { index, count: 2 });
-        let report = exec::execute_shard(plans(&o), &o, &Progress::disabled());
+        let report = exec::execute(plans(&o), &o, &Progress::disabled());
         assert_eq!(report.total_jobs, n);
-        assert_eq!(report.cache.hits, 0, "fresh cache: nothing to hit");
+        assert!(
+            report.results.iter().all(|r| r.output.is_none()),
+            "a shard run skips the reduce"
+        );
+        let stats = report.cache.expect("cache active");
+        assert_eq!(stats.hits, 0, "fresh cache: nothing to hit");
         assert_eq!(
-            report.cache.misses + report.cache.skipped,
+            stats.misses + stats.skipped,
             n,
             "every job is either owned or left to the other shard"
         );
-        executed += report.cache.misses;
+        executed += stats.misses;
     }
     assert_eq!(
         executed, n,
         "the two shards must cover the job list exactly"
     );
 
-    // The join is a warm run: zero executions, identical artifacts.
+    // Joining is a plain warm run: zero executions, identical artifacts.
     let join = run_and_persist(&opts(0, Some(&cache), &join_dir)).expect("cache active");
     assert_eq!(
         join,

@@ -31,9 +31,9 @@
 //!   `results/summary.json`). Pure value → text rendering: no global
 //!   state anywhere in this crate, so concurrent jobs can trace and
 //!   serialize independently.
-//! * [`progress`] — `Sender`-based progress reporting: workers send
-//!   [`progress::ProgressEvent`]s, a single drainer renders them on
-//!   stderr, and stdout stays reserved for results.
+//! * [`progress`] — progress reporting: workers report
+//!   [`progress::ProgressEvent`]s, rendered one line each on stderr,
+//!   and stdout stays reserved for results.
 //! * [`hash`] — a deterministic FxHash-style hasher and the
 //!   [`hash::FxHashMap`]/[`hash::FxHashSet`] aliases used by every
 //!   integer-keyed table on the simulator's memory-access hot path.
@@ -60,7 +60,7 @@ pub use fingerprint::{fingerprint, Fingerprint, FingerprintBuilder};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use json::Json;
 pub use metrics::{efficiency, karp_flatt, speedup, ScalingRow, ScalingTable};
-pub use progress::{Progress, ProgressDrainer, ProgressEvent};
+pub use progress::{Progress, ProgressEvent};
 pub use rng::XorShift64;
 pub use stats::{linear_fit, Summary};
 pub use table::{Series, TextTable};

@@ -1,22 +1,22 @@
-//! `Sender`-based progress reporting for long runs.
+//! Progress reporting for long runs.
 //!
 //! The experiment grid can run hundreds of simulations; users want a
 //! live status line without the status ever contaminating the
 //! machine-readable results on stdout. The contract here:
 //!
 //! * Workers (possibly many threads) hold a cloneable [`Progress`]
-//!   handle and send [`ProgressEvent`]s through an `mpsc::Sender`.
-//! * A single drainer thread ([`Progress::stderr`]) renders them as
-//!   human-readable lines on **stderr**, so stdout stays pipeable.
-//! * A [`Progress::disabled`] handle makes every send a no-op, letting
+//!   handle and report [`ProgressEvent`]s through it.
+//! * A [`Progress::stderr`] handle renders each event as one
+//!   human-readable line on **stderr**, so stdout stays pipeable.
+//!   `eprintln!` locks stderr for the whole line, so lines never
+//!   interleave mid-character even when many workers report at once.
+//! * A [`Progress::channel`] handle forwards events to an
+//!   `mpsc::Receiver` (what tests inspect).
+//! * A [`Progress::disabled`] handle makes every report a no-op, letting
 //!   library code report unconditionally with zero cost when nobody is
 //!   listening.
-//!
-//! Rendering happens on one thread, so lines never interleave
-//! mid-character even when many workers report at once.
 
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::thread::JoinHandle;
 
 /// One progress event from a worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,7 +55,7 @@ pub enum ProgressEvent {
 }
 
 impl ProgressEvent {
-    /// The status line a drainer prints for this event.
+    /// The status line printed for this event.
     #[must_use]
     pub fn render(&self) -> String {
         match self {
@@ -80,20 +80,19 @@ impl ProgressEvent {
     }
 }
 
-/// A cloneable handle workers report progress through. Either connected
-/// to a drainer ([`Progress::stderr`], [`Progress::channel`]) or
-/// disabled (every send is a no-op).
-#[derive(Clone)]
+/// A cloneable handle workers report progress through: printing to
+/// stderr ([`Progress::stderr`]), forwarding to a channel
+/// ([`Progress::channel`]), or disabled (every report is a no-op).
+#[derive(Clone, Debug)]
 pub struct Progress {
-    tx: Option<Sender<ProgressEvent>>,
+    sink: Sink,
 }
 
-impl std::fmt::Debug for Progress {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Progress")
-            .field("connected", &self.tx.is_some())
-            .finish()
-    }
+#[derive(Clone, Debug)]
+enum Sink {
+    Disabled,
+    Stderr,
+    Channel(Sender<ProgressEvent>),
 }
 
 impl Progress {
@@ -101,36 +100,38 @@ impl Progress {
     /// that don't want status output).
     #[must_use]
     pub fn disabled() -> Self {
-        Self { tx: None }
+        Self {
+            sink: Sink::Disabled,
+        }
     }
 
-    /// A handle paired with the raw receiving end (for tests or custom
-    /// drainers).
+    /// A handle paired with the raw receiving end (for tests).
     #[must_use]
     pub fn channel() -> (Self, Receiver<ProgressEvent>) {
         let (tx, rx) = mpsc::channel();
-        (Self { tx: Some(tx) }, rx)
+        (
+            Self {
+                sink: Sink::Channel(tx),
+            },
+            rx,
+        )
     }
 
-    /// A handle whose events a dedicated thread renders to stderr, one
-    /// line per event. Drop every clone of the handle, then
-    /// [`ProgressDrainer::join`] to flush the remaining lines.
+    /// A handle that prints every event to stderr, one line per event.
     #[must_use]
-    pub fn stderr() -> (Self, ProgressDrainer) {
-        let (progress, rx) = Self::channel();
-        let handle = std::thread::spawn(move || {
-            for ev in rx {
-                eprintln!("{}", ev.render());
-            }
-        });
-        (progress, ProgressDrainer { handle })
+    pub fn stderr() -> Self {
+        Self { sink: Sink::Stderr }
     }
 
     /// Report an event. Silently dropped when disabled or when the
-    /// drainer is gone — progress must never fail a run.
+    /// receiver is gone — progress must never fail a run.
     pub fn send(&self, ev: ProgressEvent) {
-        if let Some(tx) = &self.tx {
-            let _ = tx.send(ev);
+        match &self.sink {
+            Sink::Disabled => {}
+            Sink::Stderr => eprintln!("{}", ev.render()),
+            Sink::Channel(tx) => {
+                let _ = tx.send(ev);
+            }
         }
     }
 
@@ -168,21 +169,6 @@ impl Progress {
     }
 }
 
-/// Join handle for the stderr drainer thread. The thread exits when
-/// every [`Progress`] clone feeding it has been dropped.
-#[derive(Debug)]
-pub struct ProgressDrainer {
-    handle: JoinHandle<()>,
-}
-
-impl ProgressDrainer {
-    /// Wait for the drainer to print every pending line. Call after
-    /// dropping the last `Progress` clone, or this blocks forever.
-    pub fn join(self) {
-        let _ = self.handle.join();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,10 +199,9 @@ mod tests {
     }
 
     #[test]
-    fn stderr_drainer_joins_after_handles_drop() {
-        let (p, drainer) = Progress::stderr();
+    fn stderr_handle_prints_from_every_clone() {
+        let p = Progress::stderr();
         p.note("status goes to stderr");
-        drop(p);
-        drainer.join();
+        p.clone().cached("fig2", 1, 14);
     }
 }

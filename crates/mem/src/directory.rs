@@ -117,19 +117,6 @@ impl Directory {
         }
     }
 
-    /// Mutable holder list, created on demand.
-    pub fn holders_mut(&mut self, subpage: u64) -> &mut Holders {
-        self.map.entry(subpage).or_default()
-    }
-
-    /// Drop a sub-page's entry entirely if now empty (housekeeping after
-    /// in-place mutation through [`Self::holders_mut`]).
-    pub fn gc(&mut self, subpage: u64) {
-        if self.map.get(&subpage).is_some_and(Holders::is_empty) {
-            self.map.remove(&subpage);
-        }
-    }
-
     /// Coherence invariant check: at most one writable copy per sub-page,
     /// and no readable copy coexisting with a writable one elsewhere.
     /// Returns the violating sub-page, if any. Used by tests and debug

@@ -19,7 +19,6 @@
 //! Validation — including every capacity error string — lives here, the
 //! single source of truth. Machine presets are constructors on this type.
 
-use ksr_core::time::Cycles;
 use ksr_core::{Error, Result};
 
 use crate::bus::{Bus, BusConfig};
@@ -85,16 +84,6 @@ impl Topology {
     #[must_use]
     pub fn butterfly(ports: usize) -> Self {
         Self::Butterfly(ButterflyConfig::bbn(ports))
-    }
-
-    /// Multiply ring hop/ARD latencies by `factor` (no-op for bus and
-    /// Butterfly, whose timings are already in their own cell cycles).
-    #[must_use]
-    pub fn scale_ring_cycles(self, factor: Cycles) -> Self {
-        match self {
-            Self::Ring(cfg) => Self::Ring(cfg.scale_cycles(factor)),
-            other => other,
-        }
     }
 
     /// Maximum processor cells this topology can host, or `None` when the

@@ -37,7 +37,9 @@ trap 'rm -rf "$tmp_serial" "$tmp_parallel" "$tmp_cache" "$tmp_warm" "$tmp_warm2"
     "$tmp_shard_cache" "$tmp_join" "$tmp_check" "$tmp_check_net" "$tmp_check_lck"' EXIT
 
 # Compare every artifact of two result dirs, excluding the wall-clock
-# files (timings.json, bench.json — legitimately nondeterministic).
+# files (timings.json, bench.json — legitimately nondeterministic). The
+# second dir must hold exactly the reference's artifacts: a missing,
+# differing, or extra file fails.
 compare_dirs() {
     local ref="$1" other="$2" why="$3" name
     for f in "$ref"/*; do
@@ -50,6 +52,16 @@ compare_dirs() {
             exit 1
         fi
     done
+    for f in "$other"/*; do
+        name=$(basename "$f")
+        case "$name" in
+        timings.json | bench.json) continue ;;
+        esac
+        if [ ! -e "$ref/$name" ]; then
+            echo "determinism violation: extra artifact $name ($why)" >&2
+            exit 1
+        fi
+    done
 }
 
 # The hit/miss counters a cached run records in timings.json.
@@ -58,15 +70,15 @@ cache_counter() {
 }
 
 echo "==> determinism gate: quick run_all at -j1 vs -j8 (byte-compare; -j8 populates a cache)"
-KSR_QUICK=1 cargo run --quiet --release -p ksr-bench --bin run_all -- \
-    --jobs 1 --results "$tmp_serial" > "$tmp_serial/stdout.txt"
-KSR_QUICK=1 cargo run --quiet --release -p ksr-bench --bin run_all -- \
-    --jobs 8 --cache "$tmp_cache" --results "$tmp_parallel" > "$tmp_parallel/stdout.txt"
+cargo run --quiet --release -p ksr-bench --bin run_all -- \
+    --quick --jobs 1 --results "$tmp_serial" > "$tmp_serial/stdout.txt"
+cargo run --quiet --release -p ksr-bench --bin run_all -- \
+    --quick --jobs 8 --cache "$tmp_cache" --results "$tmp_parallel" > "$tmp_parallel/stdout.txt"
 compare_dirs "$tmp_serial" "$tmp_parallel" "between -j1 and -j8"
 
 echo "==> cache gate: warm re-run must execute zero jobs and byte-match"
-KSR_QUICK=1 cargo run --quiet --release -p ksr-bench --bin run_all -- \
-    --jobs 8 --cache "$tmp_cache" --results "$tmp_warm" > "$tmp_warm/stdout.txt"
+cargo run --quiet --release -p ksr-bench --bin run_all -- \
+    --quick --jobs 8 --cache "$tmp_cache" --results "$tmp_warm" > "$tmp_warm/stdout.txt"
 compare_dirs "$tmp_serial" "$tmp_warm" "between a cold and a warm cached run"
 warm_hits=$(cache_counter "$tmp_warm" hits)
 warm_misses=$(cache_counter "$tmp_warm" misses)
@@ -80,14 +92,14 @@ echo "==> prune gate: --prune drops dead entries and keeps every live one"
 # Plant a corrupt entry; --prune must remove it and only it, and a
 # post-prune warm run must still execute zero jobs (no live entry lost).
 echo 'not a cache entry' > "$tmp_cache/deadbeefdeadbeefdeadbeefdeadbeef.json"
-KSR_QUICK=1 cargo run --quiet --release -p ksr-bench --bin run_all -- \
-    --cache "$tmp_cache" --prune
+cargo run --quiet --release -p ksr-bench --bin run_all -- \
+    --quick --cache "$tmp_cache" --prune
 if [ -e "$tmp_cache/deadbeefdeadbeefdeadbeefdeadbeef.json" ]; then
     echo "prune gate: corrupt entry survived --prune" >&2
     exit 1
 fi
-KSR_QUICK=1 cargo run --quiet --release -p ksr-bench --bin run_all -- \
-    --jobs 8 --cache "$tmp_cache" --results "$tmp_warm2" > "$tmp_warm2/stdout.txt"
+cargo run --quiet --release -p ksr-bench --bin run_all -- \
+    --quick --jobs 8 --cache "$tmp_cache" --results "$tmp_warm2" > "$tmp_warm2/stdout.txt"
 compare_dirs "$tmp_serial" "$tmp_warm2" "between a warm run and a post-prune warm run"
 pruned_misses=$(cache_counter "$tmp_warm2" misses)
 if [ "$pruned_misses" != 0 ]; then
@@ -95,19 +107,19 @@ if [ "$pruned_misses" != 0 ]; then
     exit 1
 fi
 
-echo "==> shard gate: --shard 1/2 + --shard 2/2 + --join must byte-match the unsharded run"
-KSR_QUICK=1 cargo run --quiet --release -p ksr-bench --bin run_all -- \
-    --jobs 8 --cache "$tmp_shard_cache" --shard 1/2 --results "$tmp_join" > /dev/null
-KSR_QUICK=1 cargo run --quiet --release -p ksr-bench --bin run_all -- \
-    --jobs 8 --cache "$tmp_shard_cache" --shard 2/2 --results "$tmp_join" > /dev/null
-KSR_QUICK=1 cargo run --quiet --release -p ksr-bench --bin run_all -- \
-    --jobs 8 --cache "$tmp_shard_cache" --join --results "$tmp_join" > "$tmp_join/stdout.txt"
+echo "==> shard gate: --shard 1/2 + --shard 2/2 + a plain --cache run must byte-match the unsharded run"
+cargo run --quiet --release -p ksr-bench --bin run_all -- \
+    --quick --jobs 8 --cache "$tmp_shard_cache" --shard 1/2 --results "$tmp_join" > /dev/null
+cargo run --quiet --release -p ksr-bench --bin run_all -- \
+    --quick --jobs 8 --cache "$tmp_shard_cache" --shard 2/2 --results "$tmp_join" > /dev/null
+cargo run --quiet --release -p ksr-bench --bin run_all -- \
+    --quick --jobs 8 --cache "$tmp_shard_cache" --results "$tmp_join" > "$tmp_join/stdout.txt"
 join_misses=$(cache_counter "$tmp_join" misses)
 if [ "$join_misses" != 0 ]; then
-    echo "shard gate: the join had to execute $join_misses job(s) the shards should have covered" >&2
+    echo "shard gate: the cached run had to execute $join_misses job(s) the shards should have covered" >&2
     exit 1
 fi
-compare_dirs "$tmp_serial" "$tmp_join" "between an unsharded run and shard 1/2 + 2/2 + --join"
+compare_dirs "$tmp_serial" "$tmp_join" "between an unsharded run and shard 1/2 + 2/2 + a cached run"
 
 echo "==> recording per-experiment wall times in results/timings.json"
 mkdir -p results
