@@ -8,8 +8,9 @@
 //! change that slows the coordinator hot path down shows up as a number
 //! instead of as a mysteriously longer CI run.
 //!
-//! The four cases drive the same code the real experiments drive (they
-//! call the experiment modules' own workload functions, not copies):
+//! The first four cases drive the same code the real experiments drive
+//! (they call the experiment modules' own workload functions, not
+//! copies):
 //!
 //! * `fig2_remote_read` — the Figure-2 latency probe: four processors
 //!   stride-reading their ring neighbour's array. Maximal pressure on
@@ -20,6 +21,16 @@
 //!   processors (plus the standard two warm-up episodes).
 //! * `quick_is` — the quick-mode Integer Sort of Table 2 on four
 //!   processors: the closest thing to a whole application.
+//!
+//! The fifth drives the memory system directly:
+//!
+//! * `fanout_512` — the invalidation and read-snarfing storm of a
+//!   512-cell lock handoff, isolated: alternating writes and re-reads of
+//!   one sub-page every cell holds. Each write invalidates the 511 other
+//!   copies and each re-read snarf-refills all 511 place holders (the
+//!   reader's own included), so the case costs O(holders) per
+//!   transaction and slows by the list length if a per-holder directory
+//!   re-scan ever comes back.
 //!
 //! Results go to `bench.json` in the results directory. Wall times are
 //! nondeterministic by nature, so — like `timings.json` — that file is
@@ -47,7 +58,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
+use ksr_core::time::cycles_to_seconds;
 use ksr_core::Json;
+use ksr_machine::MachineConfig;
+use ksr_mem::{MemOp, MemorySystem};
 use ksr_sync::BarrierKind;
 
 use crate::fig2_latency::{measure, Target};
@@ -107,7 +121,44 @@ pub fn cases() -> Vec<PerfCase> {
             detail: "quick-mode Integer Sort on 4 procs (Table 2 workload)",
             run: || is_time(paper_config(true), 4, 500).0,
         },
+        PerfCase {
+            name: "fanout_512",
+            detail: "write/re-read rounds on a sub-page all 512 cells hold (invalidation fan-out)",
+            run: || fanout_rounds(26_000),
+        },
     ]
+}
+
+/// The `fanout_512` workload: every cell of LCK's 512-cell ring tree
+/// reads one sub-page, then `rounds` rounds of one write (invalidating
+/// every other copy) and one re-read from another leaf (demoting the
+/// writer and snarf-refilling every place holder). Returns simulated
+/// seconds.
+fn fanout_rounds(rounds: usize) -> f64 {
+    let cfg = MachineConfig::ksr_ring(1, &[32, 8, 2]);
+    let fabric = cfg.build_fabric().expect("the LCK ring tree is valid");
+    let mut mem = MemorySystem::with_options(
+        cfg.geometry,
+        cfg.timing,
+        fabric,
+        cfg.cells,
+        cfg.seed,
+        cfg.protocol,
+    )
+    .expect("the KSR-1 geometry is valid");
+    let mut now = 0;
+    for cell in 0..cfg.cells {
+        now = mem.access(cell, 0, MemOp::Read, now).done_at();
+    }
+    for round in 0..rounds {
+        // A stride coprime to 512 walks writers and readers over every
+        // leaf; the reader sits half the machine away from the writer.
+        let writer = round * 97 % cfg.cells;
+        let reader = (writer + cfg.cells / 2) % cfg.cells;
+        now = mem.access(writer, 0, MemOp::Write, now).done_at();
+        now = mem.access(reader, 0, MemOp::Read, now).done_at();
+    }
+    cycles_to_seconds(now, cfg.clock_hz)
 }
 
 /// Run `cases` `reps` times each (at least once) and collect wall-clock
@@ -379,7 +430,7 @@ mod tests {
     #[test]
     fn case_names_are_unique_and_stable() {
         let set = cases();
-        assert_eq!(set.len(), 4);
+        assert_eq!(set.len(), 5);
         let names: Vec<_> = set.iter().map(|c| c.name).collect();
         assert_eq!(
             names,
@@ -387,7 +438,8 @@ mod tests {
                 "fig2_remote_read",
                 "lock_churn",
                 "barrier_episode",
-                "quick_is"
+                "quick_is",
+                "fanout_512"
             ]
         );
         let mut dedup = names.clone();
@@ -494,7 +546,7 @@ mod tests {
     #[test]
     fn standard_cases_run_and_report() {
         let results = run_cases(&cases(), 1);
-        assert_eq!(results.len(), 4);
+        assert_eq!(results.len(), 5);
         for r in &results {
             assert!(
                 r.sim_seconds > 0.0 && r.sim_seconds.is_finite(),

@@ -27,11 +27,19 @@ pub enum PageAlloc {
 }
 
 /// One cell's local-cache page-frame directory.
+///
+/// A set's tags are allocated when the set first receives a page: a
+/// cell in a lock storm uses a handful of its 128 sets, and a 1024-cell
+/// machine would otherwise carry 16 MB of empty tags.
 #[derive(Debug, Clone)]
 pub struct LocalCache {
     sets: usize,
     ways: usize,
-    tags: Vec<u64>,
+    /// Per set: 1 + the index of its lane in `lanes`, or 0 while the set
+    /// has never held a page.
+    lane_of_set: Vec<u32>,
+    /// `ways` tags per used set, in order of first use.
+    lanes: Vec<u64>,
     rng: XorShift64,
 }
 
@@ -44,7 +52,8 @@ impl LocalCache {
         Self {
             sets,
             ways,
-            tags: vec![EMPTY_TAG; sets * ways],
+            lane_of_set: vec![0; sets],
+            lanes: Vec::new(),
             rng,
         }
     }
@@ -53,12 +62,25 @@ impl LocalCache {
         (page % self.sets as u64) as usize
     }
 
+    /// Index in `lanes` of `set`'s first way, if the set has ever held
+    /// a page.
+    fn lane(&self, set: usize) -> Option<usize> {
+        (self.lane_of_set[set] as usize)
+            .checked_sub(1)
+            .map(|l| l * self.ways)
+    }
+
+    /// The tags of `set`, or an empty slice if it has never held a page.
+    fn ways_of(&self, set: usize) -> &[u64] {
+        self.lane(set)
+            .map_or(&[], |l| &self.lanes[l..l + self.ways])
+    }
+
     /// Whether the page containing `addr` is resident.
     #[must_use]
     pub fn page_present(&self, addr: u64) -> bool {
         let page = page_of(addr);
-        let set = self.set_of(page);
-        self.tags[set * self.ways..(set + 1) * self.ways].contains(&page)
+        self.ways_of(self.set_of(page)).contains(&page)
     }
 
     /// Allocate a frame for the page containing `addr` if needed.
@@ -92,11 +114,17 @@ impl LocalCache {
     ) -> Result<PageAlloc> {
         let page = page_of(addr);
         let set = self.set_of(page);
-        let lane = set * self.ways;
-        if self.tags[lane..lane + self.ways].contains(&page) {
+        if self.ways_of(set).contains(&page) {
             return Ok(PageAlloc::AlreadyPresent);
         }
-        let way = match self.tags[lane..lane + self.ways]
+        let lane = self.lane(set).unwrap_or_else(|| {
+            let lane = self.lanes.len();
+            self.lanes.resize(lane + self.ways, EMPTY_TAG);
+            self.lane_of_set[set] =
+                u32::try_from(lane / self.ways + 1).expect("a cell has at most `sets` lanes");
+            lane
+        });
+        let way = match self.lanes[lane..lane + self.ways]
             .iter()
             .position(|&t| t == EMPTY_TAG)
         {
@@ -104,7 +132,7 @@ impl LocalCache {
             None => {
                 // Random replacement over the evictable ways.
                 let candidates: Vec<usize> = (0..self.ways)
-                    .filter(|&i| evictable(self.tags[lane + i]))
+                    .filter(|&i| evictable(self.lanes[lane + i]))
                     .collect();
                 if candidates.is_empty() {
                     return Err(Error::Protocol(format!(
@@ -116,7 +144,7 @@ impl LocalCache {
                 candidates[self.rng.next_index(candidates.len())]
             }
         };
-        let ways = &mut self.tags[lane..lane + self.ways];
+        let ways = &mut self.lanes[lane..lane + self.ways];
         let evicted = (ways[way] != EMPTY_TAG).then_some(ways[way]);
         ways[way] = page;
         Ok(PageAlloc::Allocated { evicted })
@@ -125,9 +153,10 @@ impl LocalCache {
     /// Drop a page frame (used when the protocol migrates the last copy
     /// away or a test wants a cold cache).
     pub fn drop_page(&mut self, page: u64) {
-        let set = self.set_of(page);
-        let lane = set * self.ways;
-        for t in &mut self.tags[lane..lane + self.ways] {
+        let Some(lane) = self.lane(self.set_of(page)) else {
+            return;
+        };
+        for t in &mut self.lanes[lane..lane + self.ways] {
             if *t == page {
                 *t = EMPTY_TAG;
             }
@@ -137,7 +166,7 @@ impl LocalCache {
     /// Number of resident pages (diagnostics).
     #[must_use]
     pub fn resident_pages(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != EMPTY_TAG).count()
+        self.lanes.iter().filter(|&&t| t != EMPTY_TAG).count()
     }
 }
 
@@ -183,6 +212,27 @@ mod tests {
             other => panic!("expected eviction, got {other:?}"),
         }
         assert_eq!(c.resident_pages(), 16);
+    }
+
+    #[test]
+    fn only_used_sets_hold_tags() {
+        let mut c = cache();
+        let ways = MemGeometry::ksr1().localcache_ways;
+        assert!(c.lanes.is_empty());
+        // Two pages in set 0 and one in set 1: two lanes.
+        let sets = MemGeometry::ksr1().localcache_sets() as u64;
+        c.ensure_page(0);
+        c.ensure_page(sets * PAGE_BYTES);
+        c.ensure_page(PAGE_BYTES);
+        assert_eq!(c.lanes.len(), 2 * ways);
+        assert!(c.page_present(sets * PAGE_BYTES) && c.page_present(PAGE_BYTES));
+        assert!(!c.page_present(2 * PAGE_BYTES));
+        c.drop_page(2);
+        assert_eq!(
+            c.resident_pages(),
+            3,
+            "dropping from an unused set is a no-op"
+        );
     }
 
     #[test]

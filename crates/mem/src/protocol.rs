@@ -37,7 +37,7 @@ use ksr_core::trace::{TraceEvent, TraceState, Tracer};
 use ksr_core::{FxHashMap, FxHashSet, Result, XorShift64};
 use ksr_net::{Fabric, PacketKind, Transit};
 
-use crate::directory::Directory;
+use crate::directory::{Directory, Holders};
 use crate::geometry::{subpage_of, MemGeometry, SUBPAGES_PER_PAGE, SUBPAGE_BYTES};
 use crate::localcache::{LocalCache, PageAlloc};
 use crate::perfmon::PerfMon;
@@ -208,12 +208,6 @@ pub struct MemorySystem {
     perf: Vec<PerfMon>,
     watched: FxHashMap<u64, usize>,
     events: Vec<MemEvent>,
-    /// Reusable buffer for the holder snapshots `coherence_fetch` and
-    /// `poststore` take before mutating directory state. Swapped out
-    /// during use (never borrowed across a `&mut self` call) and kept
-    /// around so the request path stops allocating a fresh `Vec` per
-    /// invalidation/snarf sweep.
-    scratch_holders: Vec<(usize, SubpageState)>,
     coherent: bool,
     n_cells: usize,
     tracer: Tracer,
@@ -227,6 +221,27 @@ fn trace_state(s: SubpageState) -> TraceState {
         SubpageState::Shared => TraceState::Shared,
         SubpageState::Exclusive => TraceState::Exclusive,
         SubpageState::Atomic => TraceState::Atomic,
+    }
+}
+
+/// Emit a [`TraceEvent::Coherence`] for a state change (nothing when
+/// `from == to`).
+fn trace_transition(
+    tracer: &Tracer,
+    at: Cycles,
+    cell: usize,
+    subpage: u64,
+    from: SubpageState,
+    to: SubpageState,
+) {
+    if from != to {
+        tracer.emit_with(|| TraceEvent::Coherence {
+            at,
+            cell,
+            subpage,
+            from: trace_state(from),
+            to: trace_state(to),
+        });
     }
 }
 
@@ -281,7 +296,6 @@ impl MemorySystem {
             perf: vec![PerfMon::default(); n_cells],
             watched: FxHashMap::default(),
             events: Vec::new(),
-            scratch_holders: Vec::new(),
             coherent,
             n_cells,
             tracer: Tracer::disabled(),
@@ -297,22 +311,16 @@ impl MemorySystem {
     }
 
     /// Set a sub-page's directory state in one cell, emitting a
-    /// [`TraceEvent::Coherence`] when the state actually changes. *Every*
-    /// transition routes through here — including warm-up (stamped at
-    /// cycle 0) and evictions — so a checking sink shadowing the event
-    /// stream reconstructs the directory exactly.
-    fn set_state(&mut self, sp: u64, cell: usize, to: SubpageState, at: Cycles) {
-        let from = self.dir.state_of(sp, cell);
-        if from != to {
-            self.tracer.emit_with(|| TraceEvent::Coherence {
-                at,
-                cell,
-                subpage: sp,
-                from: trace_state(from),
-                to: trace_state(to),
-            });
-        }
-        self.dir.set(sp, cell, to);
+    /// [`TraceEvent::Coherence`] when the state actually changes, and
+    /// return the previous state. *Every* transition routes through here
+    /// or through a [`Directory::update_each`] sweep that emits the same
+    /// events — including warm-up (stamped at cycle 0) and evictions — so
+    /// a checking sink shadowing the event stream reconstructs the
+    /// directory exactly.
+    fn set_state(&mut self, sp: u64, cell: usize, to: SubpageState, at: Cycles) -> SubpageState {
+        let from = self.dir.set(sp, cell, to);
+        trace_transition(&self.tracer, at, cell, sp, from, to);
+        from
     }
 
     /// Number of processor cells.
@@ -476,12 +484,15 @@ impl MemorySystem {
         is_write: bool,
         now: Cycles,
     ) -> Outcome {
-        if let Some(owner) = self.dir.holders(sp).and_then(|h| h.atomic_holder()) {
-            if owner != cell {
-                return Outcome::BlockedOnAtomic { subpage: sp };
-            }
+        // One directory lookup serves both the atomic check and the state.
+        let holders = self.dir.holders(sp);
+        if holders
+            .and_then(Holders::atomic_holder)
+            .is_some_and(|owner| owner != cell)
+        {
+            return Outcome::BlockedOnAtomic { subpage: sp };
         }
-        let st = self.dir.state_of(sp, cell);
+        let st = holders.map_or(SubpageState::Missing, |h| h.state_of(cell));
         let perm = if is_write {
             st.writable()
         } else {
@@ -555,14 +566,7 @@ impl MemorySystem {
     fn coherence_fetch(&mut self, cell: usize, sp: u64, t_req: Cycles, want: Want) -> Cycles {
         // Same-sub-page transactions serialize (hot-spot behaviour).
         let t0 = t_req.max(self.subpage_busy.get(&sp).copied().unwrap_or(0));
-        // Snapshot the holder set into the reusable scratch buffer (the
-        // sweeps below mutate the directory while iterating it).
-        let mut holders = std::mem::take(&mut self.scratch_holders);
-        holders.clear();
-        if let Some(h) = self.dir.holders(sp) {
-            holders.extend(h.iter());
-        }
-        let any_valid = holders.iter().any(|(_, s)| s.readable());
+        let any_valid = self.dir.holders(sp).is_some_and(Holders::any_valid);
 
         let done = if !any_valid {
             let spilled = self.spilled.remove(&sp);
@@ -595,7 +599,7 @@ impl MemorySystem {
             self.set_state(sp, cell, final_state, t);
             t
         } else {
-            let transit = self.transit_for(cell, &holders);
+            let transit = self.transit_for(cell, sp);
             let self_shared = self.dir.state_of(sp, cell) == SubpageState::Shared;
             let kind = match want {
                 Want::Shared => PacketKind::ReadData,
@@ -622,30 +626,39 @@ impl MemorySystem {
             }
             self.perf[cell].ring_latency_cycles += t - t_req;
             let fault = self.options.fault;
+            let tracer = &self.tracer;
 
+            // Each sweep below visits the holder list once, in insertion
+            // order, emitting each holder's events as it goes.
             match want {
                 Want::Shared => {
                     // The old owner demotes *first*: no point in the event
                     // stream may show a Shared copy beside a writable one.
-                    for (c, s) in &holders {
-                        if *s == SubpageState::Exclusive
-                            && fault != Some(ProtocolFault::MissedDemotion)
-                        {
-                            self.set_state(sp, *c, SubpageState::Shared, t);
-                        }
+                    if fault != Some(ProtocolFault::MissedDemotion) {
+                        self.dir.update_each(sp, |c, s| {
+                            if s != SubpageState::Exclusive {
+                                return s;
+                            }
+                            trace_transition(tracer, t, c, sp, s, SubpageState::Shared);
+                            SubpageState::Shared
+                        });
                     }
                     // Read-snarfing: place holders refill for free.
-                    for (c, s) in &holders {
-                        if *s == SubpageState::Invalid && self.options.read_snarfing {
-                            self.set_state(sp, *c, SubpageState::Shared, t);
-                            self.perf[*c].snarfs += 1;
-                            let c = *c;
-                            self.tracer.emit_with(|| TraceEvent::Snarf {
+                    if self.options.read_snarfing {
+                        let perf = &mut self.perf;
+                        self.dir.update_each(sp, |c, s| {
+                            if s != SubpageState::Invalid {
+                                return s;
+                            }
+                            trace_transition(tracer, t, c, sp, s, SubpageState::Shared);
+                            perf[c].snarfs += 1;
+                            tracer.emit_with(|| TraceEvent::Snarf {
                                 at: t,
                                 cell: c,
                                 subpage: sp,
                             });
-                        }
+                            SubpageState::Shared
+                        });
                     }
                     self.set_state(sp, cell, SubpageState::Shared, t);
                 }
@@ -653,19 +666,22 @@ impl MemorySystem {
                     // The seeded MissedInvalidation fault leaves every
                     // other copy valid — the two-writable-copies bug the
                     // ksr-verify checker must catch.
-                    let skip = fault == Some(ProtocolFault::MissedInvalidation);
-                    for (c, s) in &holders {
-                        if !skip && *c != cell && *s != SubpageState::Missing {
-                            self.set_state(sp, *c, SubpageState::Invalid, t);
-                            self.subcaches[*c].invalidate_subpage(sp);
-                            self.perf[*c].invalidations_received += 1;
-                            let c = *c;
-                            self.tracer.emit_with(|| TraceEvent::Invalidation {
+                    if fault != Some(ProtocolFault::MissedInvalidation) {
+                        let (perf, subcaches) = (&mut self.perf, &mut self.subcaches);
+                        self.dir.update_each(sp, |c, s| {
+                            if c == cell {
+                                return s;
+                            }
+                            trace_transition(tracer, t, c, sp, s, SubpageState::Invalid);
+                            subcaches[c].invalidate_subpage(sp);
+                            perf[c].invalidations_received += 1;
+                            tracer.emit_with(|| TraceEvent::Invalidation {
                                 at: t,
                                 cell: c,
                                 subpage: sp,
                             });
-                        }
+                            SubpageState::Invalid
+                        });
                     }
                     let st = if want == Want::Atomic {
                         SubpageState::Atomic
@@ -677,36 +693,20 @@ impl MemorySystem {
             }
             t
         };
-        self.scratch_holders = holders;
         self.subpage_busy.insert(sp, done);
         done
     }
 
-    /// Transit scope for a transaction given the current holder set.
-    fn transit_for(&self, cell: usize, holders: &[(usize, SubpageState)]) -> Transit {
-        self.transit_for_iter(cell, holders.iter().copied())
-    }
-
-    /// [`Self::transit_for`] reading the directory in place — for call
-    /// sites that don't otherwise need a holder snapshot, so the request
-    /// path stays allocation-free.
-    fn transit_for_dir(&self, cell: usize, sp: u64) -> Transit {
-        self.transit_for_iter(
-            cell,
-            self.dir.holders(sp).into_iter().flat_map(|h| h.iter()),
-        )
-    }
-
-    fn transit_for_iter(
-        &self,
-        cell: usize,
-        holders: impl Iterator<Item = (usize, SubpageState)>,
-    ) -> Transit {
+    /// Transit scope for `cell`'s transaction on `sp`, read from the
+    /// directory in place: leaf-local if a readable copy shares the
+    /// requester's leaf, else towards the leaf of the first readable
+    /// holder in insertion order.
+    fn transit_for(&self, cell: usize, sp: u64) -> Transit {
         match &self.fabric {
             Fabric::Ring(h) => {
                 let my_leaf = h.leaf_of(cell);
                 let mut first_remote = None;
-                for (c, s) in holders {
+                for (c, s) in self.dir.holders(sp).into_iter().flat_map(Holders::iter) {
                     if s.readable() {
                         let leaf = h.leaf_of(c);
                         if leaf == my_leaf {
@@ -750,12 +750,11 @@ impl MemorySystem {
     fn purge_page(&mut self, cell: usize, page: u64, at: Cycles) {
         let first = page * SUBPAGES_PER_PAGE as u64;
         for sp in first..first + SUBPAGES_PER_PAGE as u64 {
-            if self.dir.state_of(sp, cell) != SubpageState::Missing {
-                let had_data = self.dir.state_of(sp, cell).readable();
-                self.set_state(sp, cell, SubpageState::Missing, at);
-                if had_data && !self.dir.holders(sp).is_some_and(|h| h.any_valid()) {
-                    self.spilled.insert(sp);
-                }
+            let had_data = self
+                .set_state(sp, cell, SubpageState::Missing, at)
+                .readable();
+            if had_data && !self.dir.holders(sp).is_some_and(Holders::any_valid) {
+                self.spilled.insert(sp);
             }
         }
         self.subcaches[cell].invalidate_page(page);
@@ -764,7 +763,8 @@ impl MemorySystem {
     // ----- atomic sub-page operations ------------------------------------------
 
     fn get_sub_page(&mut self, cell: usize, sp: u64, now: Cycles) -> Outcome {
-        if let Some(owner) = self.dir.holders(sp).and_then(|h| h.atomic_holder()) {
+        let holders = self.dir.holders(sp);
+        if let Some(owner) = holders.and_then(Holders::atomic_holder) {
             if owner == cell {
                 // Re-acquire by the holder is a cheap local test.
                 return Outcome::Done {
@@ -774,7 +774,7 @@ impl MemorySystem {
             // Rejected: the request still circulates the ring and still
             // serializes against other same-sub-page traffic.
             let t0 = now.max(self.subpage_busy.get(&sp).copied().unwrap_or(0));
-            let transit = self.transit_for_dir(cell, sp);
+            let transit = self.transit_for(cell, sp);
             let timing = self
                 .fabric
                 .transact(t0, cell, transit, sp, PacketKind::GetSubPage);
@@ -798,7 +798,7 @@ impl MemorySystem {
             // than quadratic in the processor count).
             return Outcome::AtomicFailed { done_at };
         }
-        let st = self.dir.state_of(sp, cell);
+        let st = holders.map_or(SubpageState::Missing, |h| h.state_of(cell));
         if st.writable() {
             // Already exclusive here: flip to atomic locally.
             let done_at = now + self.timing.atomic_overhead;
@@ -830,15 +830,17 @@ impl MemorySystem {
 
     fn prefetch(&mut self, cell: usize, sp: u64, exclusive: bool, now: Cycles) -> Outcome {
         let issue_done = now + self.timing.prefetch_issue;
-        if let Some(owner) = self.dir.holders(sp).and_then(|h| h.atomic_holder()) {
-            if owner != cell {
-                // Prefetching a locked sub-page quietly does nothing.
-                return Outcome::Done {
-                    done_at: issue_done,
-                };
-            }
+        let holders = self.dir.holders(sp);
+        if holders
+            .and_then(Holders::atomic_holder)
+            .is_some_and(|owner| owner != cell)
+        {
+            // Prefetching a locked sub-page quietly does nothing.
+            return Outcome::Done {
+                done_at: issue_done,
+            };
         }
-        let st = self.dir.state_of(sp, cell);
+        let st = holders.map_or(SubpageState::Missing, |h| h.state_of(cell));
         let satisfied = if exclusive {
             st.writable()
         } else {
@@ -878,21 +880,17 @@ impl MemorySystem {
         self.perf[cell].poststores += 1;
         let t0 = now.max(self.subpage_busy.get(&sp).copied().unwrap_or(0));
         // If any place holder lives on another leaf ring, the update must
-        // cross Ring:1. Snapshot the holders (scratch buffer — the refill
-        // sweep below mutates directory state while iterating).
-        let mut holders = std::mem::take(&mut self.scratch_holders);
-        holders.clear();
-        if let Some(h) = self.dir.holders(sp) {
-            holders.extend(h.iter());
-        }
+        // cross Ring:1, towards the first such place holder.
         let transit = match &self.fabric {
             Fabric::Ring(h) => {
                 let my_leaf = h.leaf_of(cell);
-                holders
-                    .iter()
-                    .find(|(c, s)| s.is_placeholder() && h.leaf_of(*c) != my_leaf)
+                self.dir
+                    .holders(sp)
+                    .into_iter()
+                    .flat_map(Holders::iter)
+                    .find(|&(c, s)| s.is_placeholder() && h.leaf_of(c) != my_leaf)
                     .map_or(Transit::Local, |(c, _)| Transit::CrossRing {
-                        dst_leaf: h.leaf_of(*c),
+                        dst_leaf: h.leaf_of(c),
                     })
             }
             _ => Transit::Local,
@@ -908,13 +906,16 @@ impl MemorySystem {
         // The writer's copy stops being exclusive as the broadcast
         // launches — demote it before any place holder refills, so the
         // event stream never shows a Shared copy beside a writable one.
-        self.set_state(sp, cell, SubpageState::Shared, timing.response_at);
-        for (c, s) in &holders {
-            if s.is_placeholder() {
-                self.set_state(sp, *c, SubpageState::Shared, timing.response_at);
+        let at = timing.response_at;
+        self.set_state(sp, cell, SubpageState::Shared, at);
+        let tracer = &self.tracer;
+        self.dir.update_each(sp, |c, s| {
+            if !s.is_placeholder() {
+                return s;
             }
-        }
-        self.scratch_holders = holders;
+            trace_transition(tracer, at, c, sp, s, SubpageState::Shared);
+            SubpageState::Shared
+        });
         self.subpage_busy.insert(sp, timing.response_at);
         self.emit(sp, timing.response_at);
         // The issuing processor stalls only until the packet is launched.
@@ -1345,6 +1346,145 @@ mod tests {
         assert_eq!(m.directory().state_of(0, 0), SubpageState::Missing);
         assert_eq!(m.directory().state_of(0, 1), SubpageState::Exclusive);
         assert_eq!(m.directory().find_violation(), None);
+    }
+
+    /// Compact rendering of the protocol's trace events for golden
+    /// comparisons.
+    fn show(e: &TraceEvent) -> String {
+        match *e {
+            TraceEvent::RingSlot { at, wait, blocked } => {
+                format!("slot@{at} wait={wait} blocked={blocked}")
+            }
+            TraceEvent::Coherence {
+                at, cell, from, to, ..
+            } => format!("coh@{at} c{cell} {from:?}->{to:?}"),
+            TraceEvent::Snarf { at, cell, .. } => format!("snarf@{at} c{cell}"),
+            TraceEvent::Invalidation { at, cell, .. } => format!("inval@{at} c{cell}"),
+            ref other => format!("{other:?}"),
+        }
+    }
+
+    /// Holder order decides routing and event order, so both are pinned
+    /// here on a three-level ring tree (4 cells per leaf, 2 leaves per
+    /// middle ring, 2 middle rings; leaf = cell / 4). Holders join in an
+    /// order that is neither ascending by cell nor grouped by leaf.
+    #[test]
+    fn fan_out_follows_holder_insertion_order() {
+        let fabric = ksr_net::Topology::ring_levels(&[4, 2, 2])
+            .build(16)
+            .unwrap();
+        let mut m =
+            MemorySystem::new(MemGeometry::ksr1(), CacheTiming::ksr1(), fabric, 16, 42).unwrap();
+        m.warm(13, 0, 128);
+        let mut now = 0;
+        for cell in [6, 10, 7] {
+            now = done(m.access(cell, 0, MemOp::Read, now));
+        }
+        let step = |m: &mut MemorySystem, cell, op, at| {
+            let (tracer, sink) = Tracer::ring_buffer(1024);
+            m.set_tracer(tracer);
+            let t = done(m.access(cell, 0, op, at));
+            let events: Vec<String> = sink.lock().unwrap().events().map(show).collect();
+            (t, events)
+        };
+        // 1. Read by cell 1 (leaf 0). No holder shares its leaf, so the
+        //    first-inserted readable holder routes it: cell 13 on leaf 3,
+        //    across the top ring (five slot grants), not the nearer cell 6
+        //    on leaf 1 (three).
+        let (t, ev) = step(&mut m, 1, MemOp::Read, now);
+        assert_eq!(t, 2900);
+        assert_eq!(
+            ev,
+            [
+                "slot@1946 wait=5 blocked=false",
+                "slot@2213 wait=1 blocked=false",
+                "slot@2346 wait=1 blocked=false",
+                "slot@2479 wait=1 blocked=false",
+                "slot@2616 wait=5 blocked=false",
+                "coh@2891 c1 Missing->Shared",
+            ]
+        );
+        // 2. Write by cell 10: invalidates 13, 6, 7, 1 in insertion order.
+        let (t, ev) = step(&mut m, 10, MemOp::Write, t);
+        assert_eq!(t, 3083);
+        assert_eq!(
+            ev,
+            [
+                "slot@2905 wait=5 blocked=false",
+                "coh@3083 c13 Shared->Invalid",
+                "inval@3083 c13",
+                "coh@3083 c6 Shared->Invalid",
+                "inval@3083 c6",
+                "coh@3083 c7 Shared->Invalid",
+                "inval@3083 c7",
+                "coh@3083 c1 Shared->Invalid",
+                "inval@3083 c1",
+                "coh@3083 c10 Shared->Exclusive",
+            ]
+        );
+        // 3. Re-read by place holder cell 1, routed to the owner 10 on
+        //    leaf 2: the owner demotes first, then 13, 6, 7 and the
+        //    requester itself snarf in insertion order.
+        let (t, ev) = step(&mut m, 1, MemOp::Read, t);
+        assert_eq!(t, 3928);
+        assert_eq!(
+            ev,
+            [
+                "slot@3088 wait=5 blocked=false",
+                "slot@3355 wait=1 blocked=false",
+                "slot@3488 wait=1 blocked=false",
+                "slot@3621 wait=1 blocked=false",
+                "slot@3758 wait=5 blocked=false",
+                "coh@3928 c10 Exclusive->Shared",
+                "coh@3928 c13 Invalid->Shared",
+                "snarf@3928 c13",
+                "coh@3928 c6 Invalid->Shared",
+                "snarf@3928 c6",
+                "coh@3928 c7 Invalid->Shared",
+                "snarf@3928 c7",
+                "coh@3928 c1 Invalid->Shared",
+                "snarf@3928 c1",
+            ]
+        );
+        assert_eq!(m.perfmon(1).snarfs, 1, "the requester snarfs too");
+        // 4. Cell 6 writes, then poststores: the writer demotes, and the
+        //    place holders refill in insertion order. The first place
+        //    holder off cell 6's leaf (13, on leaf 3) routes the broadcast
+        //    across the top ring.
+        let (t, ev) = step(&mut m, 6, MemOp::Write, t);
+        assert_eq!(t, 4111);
+        assert_eq!(
+            ev,
+            [
+                "slot@3933 wait=5 blocked=false",
+                "coh@4111 c13 Shared->Invalid",
+                "inval@4111 c13",
+                "coh@4111 c10 Shared->Invalid",
+                "inval@4111 c10",
+                "coh@4111 c7 Shared->Invalid",
+                "inval@4111 c7",
+                "coh@4111 c1 Shared->Invalid",
+                "inval@4111 c1",
+                "coh@4111 c6 Shared->Exclusive",
+            ]
+        );
+        let (t, ev) = step(&mut m, 6, MemOp::Poststore, t);
+        assert_eq!(t, 4148);
+        assert_eq!(
+            ev,
+            [
+                "slot@4116 wait=5 blocked=false",
+                "slot@4383 wait=1 blocked=false",
+                "slot@4516 wait=1 blocked=false",
+                "slot@4649 wait=1 blocked=false",
+                "slot@4786 wait=5 blocked=false",
+                "coh@4922 c6 Exclusive->Shared",
+                "coh@4922 c13 Invalid->Shared",
+                "coh@4922 c10 Invalid->Shared",
+                "coh@4922 c7 Invalid->Shared",
+                "coh@4922 c1 Invalid->Shared",
+            ]
+        );
     }
 
     #[test]
