@@ -1,12 +1,11 @@
 //! The content-addressed results cache behind `--cache DIR`.
 //!
-//! Every [`Job`](crate::exec::Job) carries a canonical
-//! [`JobDesc`](crate::exec::JobDesc); its 128-bit
-//! [`Fingerprint`](ksr_core::Fingerprint) names one JSON file under the
-//! cache directory holding the job's serialized [`MetricRow`]s. Because
-//! jobs are pure functions of their descriptor, a hit can substitute
-//! for execution without touching determinism: the reduce sees the
-//! exact rows the job would have produced, so `results/*` stay
+//! Every [`Job`](crate::exec::Job) carries a canonical [`JobDesc`]; its
+//! 128-bit [`Fingerprint`](ksr_core::Fingerprint) names one JSON file
+//! under the cache directory holding the job's serialized [`MetricRow`]s.
+//! Because jobs are pure functions of their descriptor, a hit can
+//! substitute for execution without touching determinism: the reduce
+//! sees the exact rows the job would have produced, so `results/*` stay
 //! byte-identical whether a run was cold, warm, or assembled from
 //! shards.
 //!

@@ -10,9 +10,8 @@
 //! * `--seed N` — perturb every machine seed;
 //! * `--results DIR` — where result files go;
 //! * `--jobs N` / `-j N` — worker threads the executor schedules jobs
-//!   over (default: host parallelism capped at
-//!   [`MAX_DEFAULT_JOBS`](crate::common::MAX_DEFAULT_JOBS); results are
-//!   byte-identical at any value);
+//!   over (default: host parallelism capped at [`MAX_DEFAULT_JOBS`];
+//!   results are byte-identical at any value);
 //! * `--check` — verification mode: every machine gets a
 //!   `ksr-verify` coherence-checking sink, the race-detector and
 //!   schedule-lint suites run afterwards, and `violations.json` lands

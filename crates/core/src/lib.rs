@@ -37,8 +37,9 @@
 //! * [`hash`] — a deterministic FxHash-style hasher and the
 //!   [`hash::FxHashMap`]/[`hash::FxHashSet`] aliases used by every
 //!   integer-keyed table on the simulator's memory-access hot path.
-//! * [`fingerprint`] — stable 128-bit content fingerprints (two salted
-//!   FxHash lanes) keying the sweep harness's results cache.
+//! * [`fingerprint`](mod@fingerprint) — stable 128-bit content
+//!   fingerprints (two salted FxHash lanes) keying the sweep harness's
+//!   results cache.
 //! * [`error`] — the shared error type.
 
 #![warn(missing_docs)]
@@ -64,7 +65,7 @@ pub use progress::{Progress, ProgressEvent};
 pub use rng::XorShift64;
 pub use stats::{linear_fit, Summary};
 pub use table::{Series, TextTable};
-pub use time::{Cycles, Hz, VirtualTime, KSR1_CLOCK_HZ, KSR2_CLOCK_HZ};
+pub use time::{Cycles, Hz, KSR1_CLOCK_HZ, KSR2_CLOCK_HZ};
 pub use trace::{
-    CountingSink, NullSink, RingBufferSink, TraceEvent, TraceKind, TraceSink, TraceState, Tracer,
+    CountingSink, RingBufferSink, TraceEvent, TraceKind, TraceSink, TraceState, Tracer,
 };

@@ -322,15 +322,6 @@ pub trait TraceSink: Send {
     fn record(&mut self, event: &TraceEvent);
 }
 
-/// A sink that discards everything (useful to measure tracing overhead
-/// itself, or as an explicit "on but ignored" placeholder).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _event: &TraceEvent) {}
-}
-
 /// A sink that counts events per [`TraceKind`] — the cheapest useful
 /// observer, mirroring what a hardware event-counting monitor does.
 #[derive(Debug, Clone, Copy, Default)]

@@ -10,7 +10,7 @@
 //! barrier looks like a function call with `.await` — while the
 //! coordinator keeps the whole machine deterministic.
 //!
-//! The yield handshake is a per-processor [`Slot`]: the access future
+//! The yield handshake is a per-processor slot: the access future
 //! deposits `(issue time, op)` and returns `Pending`; the event-loop
 //! coordinator takes the request, deposits the reply, and polls again.
 //! Coordinator and future live on the same thread (the event core is
@@ -33,6 +33,7 @@ use crate::config::InterruptConfig;
 /// This is the entire vocabulary a resumable program can speak: each
 /// [`Program::resume`](crate::program::Program::resume) either yields one
 /// of these (with the issue timestamp) or reports completion.
+#[derive(Debug, Clone, Copy)]
 pub enum AccessOp {
     /// Load a 64-bit word.
     Read {
@@ -80,67 +81,52 @@ pub enum AccessOp {
         /// Address within the target sub-page.
         addr: u64,
     },
-    /// Park until `pred` holds for the word at `addr` (fast-forwarded
+    /// Park until `until` holds for the word at `addr` (fast-forwarded
     /// spin loop; each wake-up is a fully costed re-read).
     Spin {
         /// SVA address being spun on.
         addr: u64,
-        /// Exit predicate over the loaded value.
-        pred: Box<dyn FnMut(u64) -> bool>,
+        /// Exit condition over the loaded value.
+        until: SpinUntil,
     },
 }
 
-impl std::fmt::Debug for AccessOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Read { addr } => f.debug_struct("Read").field("addr", addr).finish(),
-            Self::Write { addr, value } => f
-                .debug_struct("Write")
-                .field("addr", addr)
-                .field("value", value)
-                .finish(),
-            Self::GetSubPage { addr } => f.debug_struct("GetSubPage").field("addr", addr).finish(),
-            Self::ReleaseSubPage { addr } => f
-                .debug_struct("ReleaseSubPage")
-                .field("addr", addr)
-                .finish(),
-            Self::FetchAdd { addr, delta } => f
-                .debug_struct("FetchAdd")
-                .field("addr", addr)
-                .field("delta", delta)
-                .finish(),
-            Self::Prefetch { addr, exclusive } => f
-                .debug_struct("Prefetch")
-                .field("addr", addr)
-                .field("exclusive", exclusive)
-                .finish(),
-            Self::Poststore { addr } => f.debug_struct("Poststore").field("addr", addr).finish(),
-            Self::SubcachePrefetch { addr } => f
-                .debug_struct("SubcachePrefetch")
-                .field("addr", addr)
-                .finish(),
-            Self::Spin { addr, .. } => f
-                .debug_struct("Spin")
-                .field("addr", addr)
-                .finish_non_exhaustive(),
+impl AccessOp {
+    /// The address the operation targets; the coordinator parks and wakes
+    /// on its sub-page.
+    #[must_use]
+    pub fn addr(&self) -> u64 {
+        match *self {
+            Self::Read { addr }
+            | Self::Write { addr, .. }
+            | Self::GetSubPage { addr }
+            | Self::ReleaseSubPage { addr }
+            | Self::FetchAdd { addr, .. }
+            | Self::Prefetch { addr, .. }
+            | Self::Poststore { addr }
+            | Self::SubcachePrefetch { addr }
+            | Self::Spin { addr, .. } => addr,
         }
     }
 }
 
-impl AccessOp {
-    /// Short operation name for diagnostics.
+/// Exit condition of a spin loop: the only two the synchronization
+/// library needs (a ticket being served, a flag passing an episode).
+#[derive(Debug, Clone, Copy)]
+pub enum SpinUntil {
+    /// The word equals this value.
+    Eq(u64),
+    /// The word exceeds this value.
+    Gt(u64),
+}
+
+impl SpinUntil {
+    /// Whether `value` ends the spin.
     #[must_use]
-    pub fn name(&self) -> &'static str {
+    pub fn holds(self, value: u64) -> bool {
         match self {
-            Self::Read { .. } => "read",
-            Self::Write { .. } => "write",
-            Self::GetSubPage { .. } => "get_sub_page",
-            Self::ReleaseSubPage { .. } => "release_sub_page",
-            Self::FetchAdd { .. } => "fetch_add",
-            Self::Prefetch { .. } => "prefetch",
-            Self::Poststore { .. } => "poststore",
-            Self::SubcachePrefetch { .. } => "subcache_prefetch",
-            Self::Spin { .. } => "spin",
+            Self::Eq(x) => value == x,
+            Self::Gt(x) => value > x,
         }
     }
 }
@@ -445,27 +431,19 @@ impl Cpu {
         self.roundtrip(AccessOp::SubcachePrefetch { addr }).await;
     }
 
-    /// Spin on the word at `addr` until `pred` holds; returns the value
-    /// that satisfied it. Semantically identical to
-    /// `loop { let v = read(addr); if pred(v) { break v } }` — every
-    /// wake-up is a fully costed re-read — but fast-forwarded so the
-    /// simulator spends O(updates), not O(spin iterations).
-    pub async fn spin_until(&mut self, addr: u64, pred: impl FnMut(u64) -> bool + 'static) -> u64 {
-        match self
-            .roundtrip(AccessOp::Spin {
-                addr,
-                pred: Box::new(pred),
-            })
-            .await
-        {
-            Reply::Value { value, .. } => value,
-            _ => unreachable!("spin must yield a value"),
-        }
+    /// Spin until the word at `addr` equals `target`. Semantically
+    /// identical to `while read(addr) != target {}` — every wake-up is a
+    /// fully costed re-read — but fast-forwarded so the simulator spends
+    /// O(updates), not O(spin iterations).
+    pub async fn spin_until_eq(&mut self, addr: u64, target: u64) {
+        let until = SpinUntil::Eq(target);
+        self.roundtrip(AccessOp::Spin { addr, until }).await;
     }
 
-    /// Convenience: spin until the word equals `target`.
-    pub async fn spin_until_eq(&mut self, addr: u64, target: u64) {
-        self.spin_until(addr, move |v| v == target).await;
+    /// Like [`Self::spin_until_eq`], until the word exceeds `floor`.
+    pub async fn spin_until_gt(&mut self, addr: u64, floor: u64) {
+        let until = SpinUntil::Gt(floor);
+        self.roundtrip(AccessOp::Spin { addr, until }).await;
     }
 }
 

@@ -15,10 +15,13 @@
 //! channels, zero syscalls, zero context switches per access. Machine
 //! size is bounded only by memory, not host thread limits.
 //!
-//! Spin loops ([`Cpu::spin_until`]) and accesses blocked on an atomic
-//! sub-page park on a per-sub-page watch list and are re-issued — as
-//! fully costed reads — whenever the memory system reports a visibility
-//! event on that sub-page. This is semantically identical to a tight
+//! Spin loops ([`Cpu::spin_until_eq`], [`Cpu::spin_until_gt`]) and
+//! accesses blocked on an atomic sub-page park in the coordinator's one
+//! wait set, keyed by sub-page. Every access returns, in its
+//! [`Outcome`], when it made a change to its sub-page visible (a write, a
+//! `release_sub_page`, or a `poststore` broadcast); the processors parked
+//! on that sub-page then wake at that time and re-issue their op as a
+//! fully costed access. This is semantically identical to a tight
 //! polling loop (the woken read pays invalidation-refetch or snarf-refill
 //! costs exactly as the protocol dictates) at O(updates) instead of
 //! O(poll iterations) simulation cost.
@@ -362,15 +365,16 @@ impl Machine {
 
 /// Outcome of servicing one access request against the memory system.
 enum Serviced {
-    /// The access completed; resume the program with this reply.
-    Reply(Reply),
-    /// The access blocked: park the processor on `subpage` (watching for
-    /// visibility events) and retry `op` on wake-up.
-    Park {
-        subpage: u64,
-        at: Cycles,
-        op: AccessOp,
+    /// The access completed: resume the program with `reply`, then wake
+    /// the processors parked on the op's sub-page if the access made a
+    /// change there visible at `visible_at`.
+    Reply {
+        reply: Reply,
+        visible_at: Option<Cycles>,
     },
+    /// The access must wait: park the processor on the op's sub-page from
+    /// `at` and retry the op when a change there becomes visible.
+    Park { at: Cycles },
 }
 
 /// Diagnose a simulated program touching an unmapped data-plane address:
@@ -385,162 +389,128 @@ fn data_fault(proc: usize, what: &str, addr: u64, at: Cycles, err: &Error) -> ! 
 }
 
 /// Service one access request in virtual-time order — the single
-/// request-processing path of the coordinator.
+/// request-processing path of the coordinator: one memory-system access,
+/// then the op's data-plane effect and trace events. An access blocked on
+/// an atomic sub-page parks at its issue time; a spin read that does not
+/// end the spin parks at its completion.
 fn service(mem: &mut MemorySystem, tracer: &Tracer, p: usize, t: Cycles, op: AccessOp) -> Serviced {
-    match op {
-        AccessOp::Read { addr } => match mem.access(p, addr, MemOp::Read, t) {
-            Outcome::Done { done_at } => {
-                let value = mem
-                    .data_mut()
-                    .read_u64(addr)
-                    .unwrap_or_else(|e| data_fault(p, "read", addr, t, &e));
-                tracer.emit_with(|| TraceEvent::DataRead {
-                    at: done_at,
-                    cell: p,
-                    addr,
-                });
-                Serviced::Reply(Reply::Value { value, at: done_at })
-            }
-            Outcome::BlockedOnAtomic { subpage } => Serviced::Park {
-                subpage,
-                at: t,
-                op: AccessOp::Read { addr },
-            },
-            Outcome::AtomicFailed { .. } => unreachable!("reads cannot fail atomically"),
-        },
-        AccessOp::Write { addr, value } => match mem.access(p, addr, MemOp::Write, t) {
-            Outcome::Done { done_at } => {
-                mem.data_mut()
-                    .write_u64(addr, value)
-                    .unwrap_or_else(|e| data_fault(p, "write", addr, t, &e));
-                tracer.emit_with(|| TraceEvent::DataWrite {
-                    at: done_at,
-                    cell: p,
-                    addr,
-                });
-                Serviced::Reply(Reply::Unit { at: done_at })
-            }
-            Outcome::BlockedOnAtomic { subpage } => Serviced::Park {
-                subpage,
-                at: t,
-                op: AccessOp::Write { addr, value },
-            },
-            Outcome::AtomicFailed { .. } => unreachable!("writes cannot fail atomically"),
-        },
-        AccessOp::GetSubPage { addr } => match mem.access(p, addr, MemOp::GetSubPage, t) {
-            Outcome::Done { done_at } => {
-                tracer.emit_with(|| TraceEvent::SyncAcquire {
-                    at: done_at,
-                    cell: p,
-                    subpage: ksr_mem::subpage_of(addr),
-                    rmw: false,
-                });
-                Serviced::Reply(Reply::Flag {
-                    ok: true,
-                    at: done_at,
-                })
-            }
-            Outcome::AtomicFailed { done_at } => Serviced::Reply(Reply::Flag {
-                ok: false,
-                at: done_at,
-            }),
-            Outcome::BlockedOnAtomic { .. } => {
-                unreachable!("get_sub_page reports failure, not blockage")
-            }
-        },
-        AccessOp::FetchAdd { addr, delta } => match mem.access(p, addr, MemOp::AtomicRmw, t) {
-            Outcome::Done { done_at } => {
-                let old = mem
-                    .data_mut()
-                    .read_u64(addr)
-                    .unwrap_or_else(|e| data_fault(p, "fetch_add (read)", addr, t, &e));
-                mem.data_mut()
-                    .write_u64(addr, old.wrapping_add(delta))
-                    .unwrap_or_else(|e| data_fault(p, "fetch_add (write)", addr, t, &e));
-                // A native RMW is one indivisible acquire+release on
-                // its sub-page: race detectors get a synchronization
-                // edge without any `Atomic` directory state existing.
-                let sp = ksr_mem::subpage_of(addr);
-                tracer.emit_with(|| TraceEvent::SyncAcquire {
-                    at: done_at,
-                    cell: p,
-                    subpage: sp,
-                    rmw: true,
-                });
-                tracer.emit_with(|| TraceEvent::SyncRelease {
-                    at: done_at,
-                    cell: p,
-                    subpage: sp,
-                    rmw: true,
-                });
-                Serviced::Reply(Reply::Value {
-                    value: old,
-                    at: done_at,
-                })
-            }
-            Outcome::BlockedOnAtomic { subpage } => Serviced::Park {
-                subpage,
-                at: t,
-                op: AccessOp::FetchAdd { addr, delta },
-            },
-            Outcome::AtomicFailed { .. } => unreachable!("RMW cannot fail atomically"),
-        },
-        AccessOp::ReleaseSubPage { addr } => {
+    let addr = op.addr();
+    let sp = ksr_mem::subpage_of(addr);
+    let mem_op = match op {
+        AccessOp::Read { .. } | AccessOp::Spin { .. } => MemOp::Read,
+        AccessOp::Write { .. } => MemOp::Write,
+        AccessOp::GetSubPage { .. } => MemOp::GetSubPage,
+        AccessOp::ReleaseSubPage { .. } => {
             // Stamped at issue time, before the memory system applies
             // the transition: the holder must still be `Atomic` here,
             // which is exactly what a checking sink verifies.
             tracer.emit_with(|| TraceEvent::SyncRelease {
                 at: t,
                 cell: p,
-                subpage: ksr_mem::subpage_of(addr),
+                subpage: sp,
                 rmw: false,
             });
-            let done_at = mem.access(p, addr, MemOp::ReleaseSubPage, t).done_at();
-            Serviced::Reply(Reply::Unit { at: done_at })
+            MemOp::ReleaseSubPage
         }
-        AccessOp::Prefetch { addr, exclusive } => {
-            let done_at = mem
-                .access(p, addr, MemOp::Prefetch { exclusive }, t)
-                .done_at();
-            Serviced::Reply(Reply::Unit { at: done_at })
+        AccessOp::FetchAdd { .. } => MemOp::AtomicRmw,
+        AccessOp::Prefetch { exclusive, .. } => MemOp::Prefetch { exclusive },
+        AccessOp::Poststore { .. } => MemOp::Poststore,
+        AccessOp::SubcachePrefetch { .. } => MemOp::SubcachePrefetch,
+    };
+    let (done_at, visible_at, ok) = match mem.access(p, addr, mem_op, t) {
+        Outcome::Done {
+            done_at,
+            visible_at,
+        } => (done_at, visible_at, true),
+        Outcome::BlockedOnAtomic { .. } => return Serviced::Park { at: t },
+        Outcome::AtomicFailed { done_at } => {
+            assert!(
+                matches!(op, AccessOp::GetSubPage { .. }),
+                "only get_sub_page can fail atomically, not {op:?}"
+            );
+            (done_at, None, false)
         }
-        AccessOp::Poststore { addr } => {
-            let done_at = mem.access(p, addr, MemOp::Poststore, t).done_at();
-            Serviced::Reply(Reply::Unit { at: done_at })
+    };
+    let mut read = |what| {
+        mem.data_mut()
+            .read_u64(addr)
+            .unwrap_or_else(|e| data_fault(p, what, addr, t, &e))
+    };
+    let reply = match op {
+        AccessOp::Read { .. } => {
+            let value = read("read");
+            tracer.emit_with(|| TraceEvent::DataRead {
+                at: done_at,
+                cell: p,
+                addr,
+            });
+            Reply::Value { value, at: done_at }
         }
-        AccessOp::SubcachePrefetch { addr } => {
-            let done_at = mem.access(p, addr, MemOp::SubcachePrefetch, t).done_at();
-            Serviced::Reply(Reply::Unit { at: done_at })
-        }
-        AccessOp::Spin { addr, mut pred } => match mem.access(p, addr, MemOp::Read, t) {
-            Outcome::Done { done_at } => {
-                let value = mem
-                    .data_mut()
-                    .read_u64(addr)
-                    .unwrap_or_else(|e| data_fault(p, "spin read", addr, t, &e));
-                if pred(value) {
-                    tracer.emit_with(|| TraceEvent::SpinRead {
-                        at: done_at,
-                        cell: p,
-                        addr,
-                    });
-                    Serviced::Reply(Reply::Value { value, at: done_at })
-                } else {
-                    Serviced::Park {
-                        subpage: ksr_mem::subpage_of(addr),
-                        at: done_at,
-                        op: AccessOp::Spin { addr, pred },
-                    }
-                }
+        AccessOp::Spin { until, .. } => {
+            let value = read("spin read");
+            if !until.holds(value) {
+                return Serviced::Park { at: done_at };
             }
-            Outcome::BlockedOnAtomic { subpage } => Serviced::Park {
-                subpage,
-                at: t,
-                op: AccessOp::Spin { addr, pred },
-            },
-            Outcome::AtomicFailed { .. } => unreachable!("reads cannot fail atomically"),
-        },
-    }
+            tracer.emit_with(|| TraceEvent::SpinRead {
+                at: done_at,
+                cell: p,
+                addr,
+            });
+            Reply::Value { value, at: done_at }
+        }
+        AccessOp::Write { value, .. } => {
+            mem.data_mut()
+                .write_u64(addr, value)
+                .unwrap_or_else(|e| data_fault(p, "write", addr, t, &e));
+            tracer.emit_with(|| TraceEvent::DataWrite {
+                at: done_at,
+                cell: p,
+                addr,
+            });
+            Reply::Unit { at: done_at }
+        }
+        AccessOp::GetSubPage { .. } => {
+            if ok {
+                tracer.emit_with(|| TraceEvent::SyncAcquire {
+                    at: done_at,
+                    cell: p,
+                    subpage: sp,
+                    rmw: false,
+                });
+            }
+            Reply::Flag { ok, at: done_at }
+        }
+        AccessOp::FetchAdd { delta, .. } => {
+            let old = read("fetch_add (read)");
+            mem.data_mut()
+                .write_u64(addr, old.wrapping_add(delta))
+                .unwrap_or_else(|e| data_fault(p, "fetch_add (write)", addr, t, &e));
+            // A native RMW is one indivisible acquire+release on its
+            // sub-page: race detectors get a synchronization edge without
+            // any `Atomic` directory state existing.
+            tracer.emit_with(|| TraceEvent::SyncAcquire {
+                at: done_at,
+                cell: p,
+                subpage: sp,
+                rmw: true,
+            });
+            tracer.emit_with(|| TraceEvent::SyncRelease {
+                at: done_at,
+                cell: p,
+                subpage: sp,
+                rmw: true,
+            });
+            Reply::Value {
+                value: old,
+                at: done_at,
+            }
+        }
+        AccessOp::ReleaseSubPage { .. }
+        | AccessOp::Prefetch { .. }
+        | AccessOp::Poststore { .. }
+        | AccessOp::SubcachePrefetch { .. } => Reply::Unit { at: done_at },
+    };
+    Serviced::Reply { reply, visible_at }
 }
 
 /// Min-queue of runnable processors keyed by (virtual time, proc id),
@@ -640,13 +610,10 @@ fn coordinate_event(
     let n = programs.len();
     // Op yielded by each suspended processor, serviced when its
     // timestamp is globally smallest.
-    let mut pending: Vec<Option<AccessOp>> = (0..n).map(|_| None).collect();
+    let mut pending: Vec<Option<AccessOp>> = vec![None; n];
     let mut ready = ReadyQueue::default();
-    // sub-page -> parked (proc, parked_at)
+    // The wait set: sub-page -> parked (proc, parked_at).
     let mut parked: FxHashMap<u64, Vec<(usize, Cycles)>> = FxHashMap::default();
-    // Reused across iterations so draining visibility events allocates
-    // only until the buffer reaches its high-water mark.
-    let mut events = Vec::new();
     let mut done = 0usize;
     let mut end_at = vec![0; n];
     let mut flops = vec![0; n];
@@ -678,30 +645,28 @@ fn coordinate_event(
         let op = pending[p]
             .take()
             .expect("scheduled processor has a request");
-
+        let subpage = ksr_mem::subpage_of(op.addr());
         match service(mem, tracer, p, t, op) {
-            Serviced::Reply(reply) => on_step!(p, programs[p].resume(reply)),
-            Serviced::Park { subpage, at, op } => {
-                mem.watch(subpage);
+            Serviced::Reply { reply, visible_at } => {
+                on_step!(p, programs[p].resume(reply));
+                // A visible change wakes the sub-page's parked processors
+                // for a costed retry. Waking after the resume keeps the
+                // trace order: the resumed program may emit first.
+                if let Some(visible_at) = visible_at {
+                    for (proc, parked_at) in parked.remove(&subpage).into_iter().flatten() {
+                        let wake_at = parked_at.max(visible_at);
+                        tracer.emit_with(|| TraceEvent::LockHandoff {
+                            at: wake_at,
+                            cell: proc,
+                            subpage,
+                        });
+                        ready.push(wake_at, proc);
+                    }
+                }
+            }
+            Serviced::Park { at } => {
                 parked.entry(subpage).or_default().push((p, at));
                 pending[p] = Some(op);
-            }
-        }
-
-        // Visibility events wake parked processors for a costed retry.
-        mem.drain_events_into(&mut events);
-        for ev in events.drain(..) {
-            if let Some(waiters) = parked.remove(&ev.subpage) {
-                for (proc, parked_at) in waiters {
-                    mem.unwatch(ev.subpage);
-                    let wake_at = parked_at.max(ev.at);
-                    tracer.emit_with(|| TraceEvent::LockHandoff {
-                        at: wake_at,
-                        cell: proc,
-                        subpage: ev.subpage,
-                    });
-                    ready.push(wake_at, proc);
-                }
             }
         }
     }
@@ -827,6 +792,79 @@ mod tests {
             "reader must stall past the critical section: {}",
             r.proc_end[1]
         );
+    }
+
+    #[test]
+    fn wake_sequence_is_pinned() {
+        // A two-leaf ring tree (2 x 4 cells) with waiters on three
+        // sub-pages, each released by a different visibility event:
+        // - `flag` spinners (cells 2 and 5) by a write;
+        // - a write blocked on the atomic `lock` (cell 1) by
+        //   `release_sub_page`;
+        // - `post` spinners (cells 3 and 6) first by a `poststore`, woken
+        //   at the broadcast's response, not the issuer's completion. Cell
+        //   4's exclusive prefetch invalidated their copies without a
+        //   wake, so they re-read, see 0, re-park, and finish on cell 4's
+        //   write.
+        let mut m = Machine::new(MachineConfig::ksr_ring(5, &[4, 2])).unwrap();
+        let (tracer, sink) = Tracer::ring_buffer(4096);
+        m.set_tracer(tracer);
+        let lock = m.alloc_subpage(8).unwrap();
+        let flag = m.alloc_subpage(8).unwrap();
+        let post = m.alloc_subpage(8).unwrap();
+        let programs = (0..7)
+            .map(|p| {
+                program(move |mut cpu| async move {
+                    match p {
+                        0 => {
+                            cpu.acquire_sub_page(lock).await;
+                            cpu.compute(2_000);
+                            cpu.write_u64(flag, 1).await;
+                            cpu.compute(1_000);
+                            cpu.release_sub_page(lock).await;
+                        }
+                        1 => {
+                            cpu.compute(100);
+                            cpu.write_u64(lock, 7).await;
+                        }
+                        4 => {
+                            cpu.compute(500);
+                            cpu.prefetch(post, true).await;
+                            cpu.compute(3_000);
+                            cpu.poststore(post).await;
+                            cpu.compute(1_000);
+                            cpu.write_u64(post, 1).await;
+                        }
+                        2 | 5 => cpu.spin_until_eq(flag, 1).await,
+                        _ => cpu.spin_until_eq(post, 1).await,
+                    }
+                })
+            })
+            .collect();
+        let r = m.run(programs).expect("run");
+        let wakes: Vec<(usize, Cycles)> = sink
+            .lock()
+            .unwrap()
+            .events()
+            .filter_map(|e| match *e {
+                TraceEvent::LockHandoff { at, cell, .. } => Some((cell, at)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            wakes,
+            [
+                (2, 2327),
+                (5, 2327),
+                (1, 3347),
+                (3, 4050),
+                (6, 4050),
+                (3, 4732),
+                (6, 4732),
+            ]
+        );
+        assert_eq!(r.finished_at, 5311);
+        assert_eq!(m.peek_u64(lock).unwrap(), 7);
     }
 
     #[test]

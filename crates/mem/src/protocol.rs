@@ -83,6 +83,13 @@ pub enum Outcome {
     Done {
         /// Completion time.
         done_at: Cycles,
+        /// When the operation made a new value or lock state of its
+        /// sub-page visible to other cells: a write, a `release_sub_page`,
+        /// or a `poststore` broadcast (its response time, later than the
+        /// issuer's `done_at`). `None` when nothing a spinner could
+        /// observe changed. The coordinator wakes the processors parked on
+        /// the sub-page at this time.
+        visible_at: Option<Cycles>,
     },
     /// A `get_sub_page` lost to an existing atomic holder.
     AtomicFailed {
@@ -98,6 +105,14 @@ pub enum Outcome {
 }
 
 impl Outcome {
+    /// A completion that changed nothing other cells could observe.
+    fn done(done_at: Cycles) -> Self {
+        Self::Done {
+            done_at,
+            visible_at: None,
+        }
+    }
+
     /// Completion time of a finished (or failed) operation.
     ///
     /// # Panics
@@ -116,23 +131,13 @@ impl Outcome {
     /// another cell holds atomic.
     pub fn try_done_at(&self) -> Result<Cycles> {
         match self {
-            Self::Done { done_at } | Self::AtomicFailed { done_at } => Ok(*done_at),
+            Self::Done { done_at, .. } | Self::AtomicFailed { done_at } => Ok(*done_at),
             Self::BlockedOnAtomic { subpage } => Err(ksr_core::Error::Protocol(format!(
                 "access blocked on sub-page {subpage} held atomic by another cell: \
                  no completion time exists until release_sub_page"
             ))),
         }
     }
-}
-
-/// A visibility event on a watched sub-page (used by the machine layer to
-/// wake fast-forwarded spinners at the correct virtual time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemEvent {
-    /// The sub-page whose value or lock state changed.
-    pub subpage: u64,
-    /// When the change becomes visible.
-    pub at: Cycles,
 }
 
 /// What a coherence fetch wants to end up holding.
@@ -206,8 +211,6 @@ pub struct MemorySystem {
     options: ProtocolOptions,
     data: SvaStore,
     perf: Vec<PerfMon>,
-    watched: FxHashMap<u64, usize>,
-    events: Vec<MemEvent>,
     coherent: bool,
     n_cells: usize,
     tracer: Tracer,
@@ -294,8 +297,6 @@ impl MemorySystem {
             options,
             data: SvaStore::new(),
             perf: vec![PerfMon::default(); n_cells],
-            watched: FxHashMap::default(),
-            events: Vec::new(),
             coherent,
             n_cells,
             tracer: Tracer::disabled(),
@@ -358,40 +359,6 @@ impl MemorySystem {
     #[must_use]
     pub fn directory(&self) -> &Directory {
         &self.dir
-    }
-
-    /// Start emitting [`MemEvent`]s for a sub-page (ref-counted).
-    pub fn watch(&mut self, subpage: u64) {
-        *self.watched.entry(subpage).or_insert(0) += 1;
-    }
-
-    /// Stop watching a sub-page (one reference).
-    pub fn unwatch(&mut self, subpage: u64) {
-        if let Some(n) = self.watched.get_mut(&subpage) {
-            *n -= 1;
-            if *n == 0 {
-                self.watched.remove(&subpage);
-            }
-        }
-    }
-
-    /// Drain pending visibility events.
-    pub fn take_events(&mut self) -> Vec<MemEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Drain pending visibility events into a caller-owned buffer,
-    /// keeping both buffers' capacity. The coordinator calls this once
-    /// per scheduled request; unlike [`Self::take_events`] it stops
-    /// allocating once the buffers reach their high-water mark.
-    pub fn drain_events_into(&mut self, out: &mut Vec<MemEvent>) {
-        out.append(&mut self.events);
-    }
-
-    fn emit(&mut self, subpage: u64, at: Cycles) {
-        if self.watched.contains_key(&subpage) {
-            self.events.push(MemEvent { subpage, at });
-        }
     }
 
     /// Pre-install a range of addresses as `Exclusive` in `cell`'s local
@@ -471,7 +438,7 @@ impl MemorySystem {
                 }
             }
         }
-        Outcome::Done { done_at }
+        Outcome::done(done_at)
     }
 
     // ----- coherent read/write -------------------------------------------------
@@ -509,10 +476,10 @@ impl MemorySystem {
                 self.timing.subcache_read
             };
             let done_at = now + cost;
-            if is_write {
-                self.emit(sp, done_at);
-            }
-            return Outcome::Done { done_at };
+            return Outcome::Done {
+                done_at,
+                visible_at: is_write.then_some(done_at),
+            };
         }
         self.perf[cell].subcache_misses += 1;
 
@@ -547,9 +514,6 @@ impl MemorySystem {
                 self.perf[cell].block_allocations += 1;
             }
         }
-        if is_write {
-            self.emit(sp, t);
-        }
         // Single-writer invariant — suspended when a fault is seeded on
         // purpose, so the checker (not this assert) is what reports it.
         debug_assert!(
@@ -558,7 +522,10 @@ impl MemorySystem {
              Exclusive) broken: {:?}",
             self.dir.find_violation()
         );
-        Outcome::Done { done_at: t }
+        Outcome::Done {
+            done_at: t,
+            visible_at: is_write.then_some(t),
+        }
     }
 
     /// One ring (or bus) coherence transaction ending with `cell` holding
@@ -767,9 +734,7 @@ impl MemorySystem {
         if let Some(owner) = holders.and_then(Holders::atomic_holder) {
             if owner == cell {
                 // Re-acquire by the holder is a cheap local test.
-                return Outcome::Done {
-                    done_at: now + self.timing.subcache_read,
-                };
+                return Outcome::done(now + self.timing.subcache_read);
             }
             // Rejected: the request still circulates the ring and still
             // serializes against other same-sub-page traffic.
@@ -803,10 +768,10 @@ impl MemorySystem {
             // Already exclusive here: flip to atomic locally.
             let done_at = now + self.timing.atomic_overhead;
             self.set_state(sp, cell, SubpageState::Atomic, done_at);
-            return Outcome::Done { done_at };
+            return Outcome::done(done_at);
         }
         let done = self.coherence_fetch(cell, sp, now, Want::Atomic) + self.timing.atomic_overhead;
-        Outcome::Done { done_at: done }
+        Outcome::done(done)
     }
 
     fn release_sub_page(&mut self, cell: usize, sp: u64, now: Cycles) -> Outcome {
@@ -819,11 +784,14 @@ impl MemorySystem {
              sub-page {sp}"
         );
         let done_at = now + self.timing.localcache_write;
-        if st == SubpageState::Atomic {
+        let released = st == SubpageState::Atomic;
+        if released {
             self.set_state(sp, cell, SubpageState::Exclusive, done_at);
-            self.emit(sp, done_at);
         }
-        Outcome::Done { done_at }
+        Outcome::Done {
+            done_at,
+            visible_at: released.then_some(done_at),
+        }
     }
 
     // ----- prefetch / poststore -------------------------------------------------
@@ -836,9 +804,7 @@ impl MemorySystem {
             .is_some_and(|owner| owner != cell)
         {
             // Prefetching a locked sub-page quietly does nothing.
-            return Outcome::Done {
-                done_at: issue_done,
-            };
+            return Outcome::done(issue_done);
         }
         let st = holders.map_or(SubpageState::Missing, |h| h.state_of(cell));
         let satisfied = if exclusive {
@@ -847,9 +813,7 @@ impl MemorySystem {
             st.readable()
         };
         if satisfied || self.pending_fill.contains_key(&(cell, sp)) {
-            return Outcome::Done {
-                done_at: issue_done,
-            };
+            return Outcome::done(issue_done);
         }
         self.perf[cell].prefetches += 1;
         let want = if exclusive {
@@ -859,23 +823,19 @@ impl MemorySystem {
         };
         let ready = self.coherence_fetch(cell, sp, now, want);
         self.pending_fill.insert((cell, sp), ready);
-        Outcome::Done {
-            done_at: issue_done,
-        }
+        Outcome::done(issue_done)
     }
 
     fn poststore(&mut self, cell: usize, sp: u64, now: Cycles) -> Outcome {
         if !self.options.poststore {
-            return Outcome::Done { done_at: now + 1 };
+            return Outcome::done(now + 1);
         }
         let st = self.dir.state_of(sp, cell);
         if st != SubpageState::Exclusive {
             // Nothing modified to broadcast — and a sub-page held *atomic*
             // must keep its lock: broadcasting it shared would silently
             // release `get_sub_page` (the hardware forbids this).
-            return Outcome::Done {
-                done_at: now + self.timing.poststore_issue,
-            };
+            return Outcome::done(now + self.timing.poststore_issue);
         }
         self.perf[cell].poststores += 1;
         let t0 = now.max(self.subpage_busy.get(&sp).copied().unwrap_or(0));
@@ -917,10 +877,11 @@ impl MemorySystem {
             SubpageState::Shared
         });
         self.subpage_busy.insert(sp, timing.response_at);
-        self.emit(sp, timing.response_at);
-        // The issuing processor stalls only until the packet is launched.
+        // The issuing processor stalls only until the packet is launched;
+        // the place holders see the update when the broadcast responds.
         Outcome::Done {
             done_at: now + self.timing.poststore_issue + timing.slot_wait,
+            visible_at: Some(timing.response_at),
         }
     }
 
@@ -950,10 +911,10 @@ impl MemorySystem {
                     done_at += self.timing.remote_write_extra;
                 }
                 self.perf[cell].ring_latency_cycles += done_at - now;
-                if is_write {
-                    self.emit(sp, done_at);
+                Outcome::Done {
+                    done_at,
+                    visible_at: is_write.then_some(done_at),
                 }
-                Outcome::Done { done_at }
             }
             MemOp::GetSubPage => {
                 if let Some(owner) = self.dir.holders(sp).and_then(|h| h.atomic_holder()) {
@@ -963,7 +924,7 @@ impl MemorySystem {
                     self.perf[cell].ring_transactions += 1;
                     let done_at = timing.response_at + self.timing.atomic_overhead;
                     if owner == cell {
-                        return Outcome::Done { done_at };
+                        return Outcome::done(done_at);
                     }
                     self.perf[cell].atomic_rejections += 1;
                     self.tracer.emit_with(|| TraceEvent::AtomicRejection {
@@ -979,7 +940,7 @@ impl MemorySystem {
                 self.perf[cell].ring_transactions += 1;
                 let done_at = timing.response_at + self.timing.atomic_overhead;
                 self.set_state(sp, cell, SubpageState::Atomic, done_at);
-                Outcome::Done { done_at }
+                Outcome::done(done_at)
             }
             MemOp::ReleaseSubPage => {
                 debug_assert_eq!(
@@ -995,14 +956,14 @@ impl MemorySystem {
                 self.perf[cell].ring_transactions += 1;
                 let done_at = timing.response_at;
                 self.set_state(sp, cell, SubpageState::Missing, done_at);
-                self.emit(sp, done_at);
-                Outcome::Done { done_at }
+                Outcome::Done {
+                    done_at,
+                    visible_at: Some(done_at),
+                }
             }
             MemOp::Prefetch { .. } | MemOp::SubcachePrefetch => {
                 // No caches to prefetch into.
-                Outcome::Done {
-                    done_at: now + self.timing.prefetch_issue,
-                }
+                Outcome::done(now + self.timing.prefetch_issue)
             }
         }
     }
@@ -1011,12 +972,13 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ksr_net::Topology;
 
     fn ksr(n: usize) -> MemorySystem {
         MemorySystem::new(
             MemGeometry::ksr1(),
             CacheTiming::ksr1(),
-            Fabric::ksr1_32().unwrap(),
+            Topology::ksr1_32().build(n).unwrap(),
             n,
             42,
         )
@@ -1078,7 +1040,7 @@ mod tests {
         let mut m = MemorySystem::new(
             MemGeometry::ksr1(),
             CacheTiming::ksr1(),
-            Fabric::ksr_64().unwrap(),
+            Topology::ksr_64().build(64).unwrap(),
             64,
             42,
         )
@@ -1202,31 +1164,53 @@ mod tests {
         assert_eq!(m.directory().state_of(0, 0), SubpageState::Invalid);
     }
 
-    #[test]
-    fn release_emits_event_for_watchers() {
-        let mut m = ksr(2);
-        m.watch(0);
-        m.access(0, 0, MemOp::GetSubPage, 0);
-        m.access(0, 0, MemOp::ReleaseSubPage, 500);
-        let ev = m.take_events();
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].subpage, 0);
-        assert!(ev[0].at >= 500);
-        m.unwatch(0);
-        m.access(0, 0, MemOp::GetSubPage, 1000);
-        m.access(0, 0, MemOp::ReleaseSubPage, 2000);
-        assert!(
-            m.take_events().is_empty(),
-            "unwatched sub-pages stay silent"
-        );
+    /// When a completed access made its sub-page's change visible.
+    fn visible(o: Outcome) -> Option<Cycles> {
+        match o {
+            Outcome::Done { visible_at, .. } => visible_at,
+            other => panic!("expected a completion, got {other:?}"),
+        }
     }
 
     #[test]
-    fn writes_emit_events_for_watchers() {
-        let mut m = ksr(1);
-        m.watch(subpage_of(256));
-        m.access(0, 256, MemOp::Write, 0);
-        assert_eq!(m.take_events().len(), 1);
+    fn release_reports_when_the_lock_reopens() {
+        let mut m = ksr(2);
+        assert_eq!(visible(m.access(0, 0, MemOp::GetSubPage, 0)), None);
+        let release = m.access(0, 0, MemOp::ReleaseSubPage, 500);
+        assert_eq!(done(release), 500 + CacheTiming::ksr1().localcache_write);
+        assert_eq!(visible(release), Some(done(release)));
+    }
+
+    #[test]
+    fn writes_and_poststore_report_visibility() {
+        let mut m = ksr(3);
+        let write = m.access(0, 256, MemOp::Write, 0);
+        assert_eq!(visible(write), Some(done(write)), "visible on completion");
+        assert_eq!(visible(m.access(1, 256, MemOp::Read, 1_000)), None);
+        m.access(2, 256, MemOp::Read, 1_000);
+        // Invalidate 1 and 2. A poststore is then visible when the
+        // broadcast responds and refills them, long after the issuer
+        // continues.
+        m.access(0, 256, MemOp::Write, 10_000);
+        let (tracer, sink) = Tracer::ring_buffer(64);
+        m.set_tracer(tracer);
+        let post = m.access(0, 256, MemOp::Poststore, 20_000);
+        let at = visible(post).expect("a broadcasting poststore is visible");
+        assert!(at > done(post), "{at} vs {}", done(post));
+        let refills: Vec<Cycles> = sink
+            .lock()
+            .unwrap()
+            .events()
+            .filter_map(|e| match *e {
+                TraceEvent::Coherence {
+                    at,
+                    from: TraceState::Invalid,
+                    ..
+                } => Some(at),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(refills, [at, at]);
     }
 
     #[test]
@@ -1285,7 +1269,7 @@ mod tests {
         let mut m = MemorySystem::new(
             MemGeometry::scaled(64),
             CacheTiming::ksr1(),
-            Fabric::ksr1_32().unwrap(),
+            Topology::ksr1_32().build(1).unwrap(),
             1,
             7,
         )
@@ -1305,7 +1289,7 @@ mod tests {
         let mut m = MemorySystem::new(
             MemGeometry::ksr1(),
             CacheTiming::butterfly(),
-            Fabric::butterfly(16).unwrap(),
+            Topology::butterfly(16).build(16).unwrap(),
             16,
             1,
         )
@@ -1321,7 +1305,7 @@ mod tests {
         let mut m = MemorySystem::new(
             MemGeometry::ksr1(),
             CacheTiming::butterfly(),
-            Fabric::butterfly(4).unwrap(),
+            Topology::butterfly(4).build(4).unwrap(),
             4,
             1,
         )
@@ -1370,9 +1354,7 @@ mod tests {
     /// order that is neither ascending by cell nor grouped by leaf.
     #[test]
     fn fan_out_follows_holder_insertion_order() {
-        let fabric = ksr_net::Topology::ring_levels(&[4, 2, 2])
-            .build(16)
-            .unwrap();
+        let fabric = Topology::ring_levels(&[4, 2, 2]).build(16).unwrap();
         let mut m =
             MemorySystem::new(MemGeometry::ksr1(), CacheTiming::ksr1(), fabric, 16, 42).unwrap();
         m.warm(13, 0, 128);

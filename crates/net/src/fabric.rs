@@ -7,11 +7,10 @@
 
 use ksr_core::time::Cycles;
 use ksr_core::trace::Tracer;
-use ksr_core::Result;
 
-use crate::bus::{Bus, BusConfig};
-use crate::butterfly::{Butterfly, ButterflyConfig};
-use crate::hierarchy::{RingHierarchy, RingHierarchyConfig};
+use crate::bus::Bus;
+use crate::butterfly::Butterfly;
+use crate::hierarchy::RingHierarchy;
 use crate::msg::{PacketKind, Transit};
 use crate::ring::RingTiming;
 
@@ -49,32 +48,6 @@ pub enum Fabric {
 }
 
 impl Fabric {
-    /// A single-level 32-cell KSR-1 ring.
-    pub fn ksr1_32() -> Result<Self> {
-        Ok(Self::Ring(RingHierarchy::new(
-            RingHierarchyConfig::ksr1_32(),
-        )?))
-    }
-
-    /// A two-level 64-cell KSR system.
-    pub fn ksr_64() -> Result<Self> {
-        Ok(Self::Ring(RingHierarchy::new(
-            RingHierarchyConfig::ksr_64(),
-        )?))
-    }
-
-    /// A Symmetry-style bus.
-    pub fn symmetry() -> Result<Self> {
-        Ok(Self::Bus(Bus::new(BusConfig::symmetry())?))
-    }
-
-    /// A Butterfly-style MIN with `ports` processors/modules.
-    pub fn butterfly(ports: usize) -> Result<Self> {
-        Ok(Self::Butterfly(Butterfly::new(ButterflyConfig::bbn(
-            ports,
-        ))?))
-    }
-
     /// Attach one shared tracer to whichever interconnect is active; every
     /// admission grant then emits a `RingSlot` event.
     pub fn set_tracer(&mut self, tracer: &Tracer) {
@@ -91,13 +64,6 @@ impl Fabric {
     #[must_use]
     pub fn has_coherent_caches(&self) -> bool {
         !matches!(self, Self::Butterfly(_))
-    }
-
-    /// Whether the fabric offers parallel communication paths (everything
-    /// except the bus).
-    #[must_use]
-    pub fn has_parallel_paths(&self) -> bool {
-        !matches!(self, Self::Bus(_))
     }
 
     /// Book a transaction.
@@ -167,30 +133,21 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Topology;
 
     #[test]
-    fn presets_construct() {
-        assert!(Fabric::ksr1_32().is_ok());
-        assert!(Fabric::ksr_64().is_ok());
-        assert!(Fabric::symmetry().is_ok());
-        assert!(Fabric::butterfly(32).is_ok());
-    }
-
-    #[test]
-    fn coherence_and_path_flags() {
-        assert!(Fabric::ksr1_32().unwrap().has_coherent_caches());
-        assert!(Fabric::ksr1_32().unwrap().has_parallel_paths());
-        assert!(Fabric::symmetry().unwrap().has_coherent_caches());
-        assert!(!Fabric::symmetry().unwrap().has_parallel_paths());
-        assert!(!Fabric::butterfly(16).unwrap().has_coherent_caches());
-        assert!(Fabric::butterfly(16).unwrap().has_parallel_paths());
+    fn only_the_butterfly_lacks_coherent_caches() {
+        let fabric = |t: Topology| t.build(16).unwrap();
+        assert!(fabric(Topology::ksr1_32()).has_coherent_caches());
+        assert!(fabric(Topology::bus()).has_coherent_caches());
+        assert!(!fabric(Topology::butterfly(16)).has_coherent_caches());
     }
 
     #[test]
     fn ring_vs_bus_concurrency_contrast() {
         // Twelve simultaneous distinct transactions: roughly equal finish
         // times on the ring, strictly staircased on the bus.
-        let mut ring = Fabric::ksr1_32().unwrap();
+        let mut ring = Topology::ksr1_32().build(12).unwrap();
         let ring_t: Vec<_> = (0..12)
             .map(|i| {
                 ring.transact(0, i, Transit::Local, 0, PacketKind::ReadData)
@@ -203,7 +160,7 @@ mod tests {
             "ring transactions overlap within one rotation: spread {spread}"
         );
 
-        let mut bus = Fabric::symmetry().unwrap();
+        let mut bus = Topology::bus().build(12).unwrap();
         let bus_t: Vec<_> = (0..12)
             .map(|i| {
                 bus.transact(0, i, Transit::Local, 0, PacketKind::ReadData)
@@ -215,7 +172,7 @@ mod tests {
 
     #[test]
     fn stats_normalize() {
-        let mut f = Fabric::butterfly(8).unwrap();
+        let mut f = Topology::butterfly(8).build(8).unwrap();
         f.transact(0, 0, Transit::Local, 3, PacketKind::ReadData);
         f.transact(0, 1, Transit::Local, 3, PacketKind::ReadData);
         let s = f.stats();

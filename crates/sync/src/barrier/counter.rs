@@ -54,7 +54,7 @@ impl BarrierAlg for CounterBarrier {
             cpu.write_u64(self.base + 8, my_gen + 1).await;
             cpu.poststore(self.base + 8).await;
         } else {
-            cpu.spin_until(self.base + 8, move |v| v > my_gen).await;
+            cpu.spin_until_gt(self.base + 8, my_gen).await;
         }
     }
 }

@@ -60,7 +60,7 @@ impl BarrierAlg for DisseminationBarrier {
             cpu.write_u64(out, my_ep + 1).await;
             // A partner may already be an episode ahead of us in later
             // rounds, hence >= rather than ==.
-            cpu.spin_until(self.flag(k, p), move |v| v > my_ep).await;
+            cpu.spin_until_gt(self.flag(k, p), my_ep).await;
         }
     }
 }

@@ -90,8 +90,7 @@ impl BarrierAlg for McsBarrier {
         for c in 0..self.arity {
             let child = self.arity * p + 1 + c;
             if child < self.n {
-                cpu.spin_until(self.child_slot(p, c), move |v| v > my_ep)
-                    .await;
+                cpu.spin_until_gt(self.child_slot(p, c), my_ep).await;
             }
         }
         if p != 0 {
@@ -102,11 +101,10 @@ impl BarrierAlg for McsBarrier {
             cpu.write_u64(out, my_ep + 1).await;
             cpu.poststore(out).await;
             if self.use_global_flag {
-                cpu.spin_until(self.global_flag, move |v| v > my_ep).await;
+                cpu.spin_until_gt(self.global_flag, my_ep).await;
                 return;
             }
-            cpu.spin_until(self.wakeups.addr(p), move |v| v > my_ep)
-                .await;
+            cpu.spin_until_gt(self.wakeups.addr(p), my_ep).await;
         } else if self.use_global_flag {
             cpu.write_u64(self.global_flag, my_ep + 1).await;
             cpu.poststore(self.global_flag).await;

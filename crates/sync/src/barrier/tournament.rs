@@ -85,10 +85,9 @@ impl BarrierAlg for TournamentBarrier {
                 cpu.write_u64(out, my_ep + 1).await;
                 cpu.poststore(out).await;
                 if self.use_global_flag {
-                    cpu.spin_until(self.global_flag, move |v| v > my_ep).await;
+                    cpu.spin_until_gt(self.global_flag, my_ep).await;
                 } else {
-                    cpu.spin_until(self.wakeups.addr(p), move |v| v > my_ep)
-                        .await;
+                    cpu.spin_until_gt(self.wakeups.addr(p), my_ep).await;
                 }
                 lost_at = k;
                 break;
@@ -96,7 +95,7 @@ impl BarrierAlg for TournamentBarrier {
             // Winner: wait for the loser's report (if that peer exists).
             let peer = p | bit;
             if peer < self.n {
-                cpu.spin_until(self.arrival(k, p), move |v| v > my_ep).await;
+                cpu.spin_until_gt(self.arrival(k, p), my_ep).await;
             }
         }
         if self.use_global_flag {

@@ -110,10 +110,10 @@ impl BarrierAlg for TreeBarrier {
             if first {
                 // Wait here for completion.
                 if self.use_global_flag {
-                    cpu.spin_until(self.global_flag, move |v| v > my_ep).await;
+                    cpu.spin_until_gt(self.global_flag, my_ep).await;
                 } else {
                     let waddr = self.wakeups.addr(node);
-                    cpu.spin_until(waddr, move |v| v > my_ep).await;
+                    cpu.spin_until_gt(waddr, my_ep).await;
                 }
                 break false;
             }

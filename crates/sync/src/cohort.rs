@@ -125,7 +125,7 @@ impl Cohorts {
         let serving = cpu.read_u64(q + LSERVING).await;
         cpu.release_sub_page(q).await;
         if serving != t {
-            cpu.spin_until(q + LSERVING, move |v| v == t).await;
+            cpu.spin_until_eq(q + LSERVING, t).await;
         }
         q
     }
@@ -208,7 +208,7 @@ impl CohortLock {
             let serving = cpu.read_u64(g + GSERVING).await;
             cpu.release_sub_page(g).await;
             if serving != t {
-                cpu.spin_until(g + GSERVING, move |v| v == t).await;
+                cpu.spin_until_eq(g + GSERVING, t).await;
             }
             cpu.write_u64(q + LOWNS, 1).await;
         }

@@ -135,7 +135,7 @@ impl SwRwLock {
         };
         cpu.release_sub_page(self.q).await;
         if serving != ticket {
-            cpu.spin_until(self.q + SERVING, move |v| v == ticket).await;
+            cpu.spin_until_eq(self.q + SERVING, ticket).await;
         }
         Ticket {
             number: ticket,
@@ -168,7 +168,7 @@ impl SwRwLock {
         cpu.release_sub_page(self.q).await;
         let at_head = cpu.read_u64(self.q + SERVING).await == ticket;
         if !at_head {
-            cpu.spin_until(self.q + SERVING, move |v| v == ticket).await;
+            cpu.spin_until_eq(self.q + SERVING, ticket).await;
         }
         Ticket {
             number: ticket,

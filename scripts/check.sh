@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo-wide gate: formatting, lints, tests, a quick end-to-end run of
+# Repo-wide gate: formatting, lints, docs, tests, a quick end-to-end run of
 # every registered experiment, and the parallel-executor determinism
 # gate. Run from the repo root before pushing.
 #
@@ -16,6 +16,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps (rustdoc lints deny like the rest)"
+cargo doc --workspace --no-deps
 
 echo "==> cargo test --workspace --release"
 cargo test --workspace --release --quiet

@@ -106,7 +106,7 @@ fn uncached_range_is_functionally_transparent() {
             cpu.write_u64(a + 8, 22).await;
         }),
         program(move |mut cpu| async move {
-            cpu.spin_until(a + 8, |v| v == 22).await;
+            cpu.spin_until_eq(a + 8, 22).await;
             let v = cpu.read_u64(a).await;
             assert_eq!(v, 11, "uncached data must stay coherent");
         }),
