@@ -15,26 +15,16 @@
 //! * `--check` — verification mode: every machine gets a
 //!   `ksr-verify` coherence-checking sink, the race-detector and
 //!   schedule-lint suites run afterwards, and `violations.json` lands
-//!   next to the results (non-zero exit on any violation);
-//! * `--cache DIR` — content-addressed results cache: jobs whose
-//!   fingerprint is present load instead of executing, everything else
-//!   executes and populates the cache (bypassed under `--check`, whose
-//!   point is observing execution);
-//! * `--shard i/N` — run only shard `i` of `N` of the flattened job
-//!   list into the cache (requires `--cache`; writes no artifacts). Once
-//!   every shard is done, a plain `--cache DIR` run over the same cache
-//!   assembles the artifacts, and its `[cache: ...]` line reports any
-//!   job it still had to execute;
-//! * `--prune` — delete cache entries from dead generations (stale
-//!   schemas, removed experiments, corrupt files), then exit (requires
-//!   `--cache`).
+//!   next to the results (non-zero exit on any violation).
+//!
+//! Every run executes every job of its selection.
 //!
 //! An `--only` run writes `summary.json` and `timings.json` for its
 //! selection alone, replacing any full-run index in that directory.
 //!
 //! Output discipline: rendered experiment results go to **stdout** (so
 //! runs pipe cleanly into files and diffs); everything else — per-job
-//! progress, `[written:]` / `[summary:]` / `[check:]` / `[cache:]`
+//! progress, `[written:]` / `[summary:]` / `[check:]` / `[timings:]`
 //! status lines, errors — goes to **stderr**.
 
 use std::process::ExitCode;
@@ -42,8 +32,8 @@ use std::time::Instant;
 
 use ksr_core::{Json, Progress};
 
-use crate::common::{write_summary, ExperimentOutput, RunOpts, Shard, MAX_DEFAULT_JOBS};
-use crate::exec::{self, CacheStats};
+use crate::common::{write_summary, ExperimentOutput, RunOpts, MAX_DEFAULT_JOBS};
+use crate::exec;
 use crate::registry::{find, Experiment, REGISTRY};
 
 /// Parsed command line: run options plus `run_all`'s selection flags.
@@ -55,16 +45,12 @@ pub struct Cli {
     pub list: bool,
     /// `--only`: ids to run (empty means all).
     pub only: Vec<String>,
-    /// `--prune`: drop dead cache generations instead of running.
-    pub prune: bool,
 }
 
 /// Parse `args` (not including the program name) over
 /// [`RunOpts::default`], with `--jobs` defaulting to the host
 /// parallelism capped at [`MAX_DEFAULT_JOBS`]. Returns an error message
-/// for unknown or malformed flags and for inconsistent combinations
-/// (sharding without a cache or with `--check`, pruning without a
-/// cache).
+/// for unknown or malformed flags.
 pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     let jobs = std::thread::available_parallelism()
         .map_or(1, std::num::NonZeroUsize::get)
@@ -76,7 +62,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
         },
         list: false,
         only: Vec::new(),
-        prune: false,
     };
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
@@ -85,20 +70,12 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
             "--full" => cli.opts.quick = false,
             "--check" => cli.opts.check = true,
             "--list" => cli.list = true,
-            "--prune" => cli.prune = true,
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value")?;
                 cli.opts.seed = v.parse().map_err(|_| format!("bad --seed value: {v}"))?;
             }
             "--results" => {
                 cli.opts.results_dir = args.next().ok_or("--results needs a directory")?.into();
-            }
-            "--cache" => {
-                cli.opts.cache = Some(args.next().ok_or("--cache needs a directory")?.into());
-            }
-            "--shard" => {
-                let v = args.next().ok_or("--shard needs i/N")?;
-                cli.opts.shard = Some(Shard::parse(&v)?);
             }
             "--jobs" | "-j" => {
                 let v = args.next().ok_or("--jobs needs a worker count")?;
@@ -118,30 +95,13 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    if cli.opts.shard.is_some() {
-        if cli.opts.cache.is_none() {
-            return Err(
-                "--shard requires --cache DIR: shards communicate through the cache".into(),
-            );
-        }
-        if cli.opts.check {
-            return Err(
-                "--shard conflicts with --check: checked runs bypass the cache, \
-                 so a checked shard would produce nothing"
-                    .into(),
-            );
-        }
-    }
-    if cli.prune && cli.opts.cache.is_none() {
-        return Err("--prune requires --cache DIR: it needs a cache to clean".into());
-    }
     Ok(cli)
 }
 
 fn usage() -> String {
     format!(
         "usage: run_all [--quick|--full] [--check] [--seed N] [--results DIR] [--jobs N] \
-         [--cache DIR] [--shard i/N] [--list] [--only ID,ID...] [--prune]\n\
+         [--list] [--only ID,ID...]\n\
          ids: {}",
         crate::registry::ids().join(", ")
     )
@@ -153,41 +113,18 @@ fn usage() -> String {
 /// per-experiment coherence results are merged in job order and
 /// [`crate::check::finalize`] runs the race/lint suites and writes
 /// `violations.json`.
-///
-/// With `opts.shard` set the executor runs only this process's slice of
-/// the job list into the cache and reduces nothing, so the run writes
-/// no artifacts except `timings.json` (which carries the
-/// hit/miss/skip counters).
 fn run_selection(selected: &[&Experiment], opts: &RunOpts) -> ExitCode {
     let plans: Vec<crate::exec::ExperimentPlan> = selected.iter().map(|e| e.plan(opts)).collect();
     let wall_start = Instant::now();
-    let report = exec::execute(plans, opts, &Progress::stderr());
+    let results = exec::execute(plans, opts, &Progress::stderr());
     let wall_seconds = wall_start.elapsed().as_secs_f64();
 
-    if let Some(stats) = report.cache {
-        let cache_dir = opts.cache.as_deref().expect("stats imply a cache");
-        let skipped = opts.shard.map_or_else(String::new, |shard| {
-            format!(", {} skipped (shard {shard})", stats.skipped)
-        });
-        eprintln!(
-            "[cache: {} hit(s), {} miss(es){skipped} of {} job(s) → {}]",
-            stats.hits,
-            stats.misses,
-            report.total_jobs,
-            cache_dir.display(),
-        );
-    } else if opts.cache.is_some() && opts.check {
-        eprintln!("[cache: bypassed under --check (violations are observed, not cached)]");
-    }
-
-    let mut outputs: Vec<ExperimentOutput> = Vec::with_capacity(report.results.len());
+    let mut outputs: Vec<ExperimentOutput> = Vec::with_capacity(results.len());
     let mut checks = Vec::new();
     let mut timings = Vec::new();
-    for (exp, result) in selected.iter().zip(report.results) {
+    for (exp, result) in selected.iter().zip(results) {
         timings.push((exp.id(), result.seconds));
-        let Some(output) = result.output else {
-            continue; // a shard run reduces nothing
-        };
+        let output = result.output;
         println!("{}", output.render());
         match output.write_to(&opts.results_dir) {
             Ok(path) => eprintln!("[written: {}]", path.display()),
@@ -206,17 +143,14 @@ fn run_selection(selected: &[&Experiment], opts: &RunOpts) -> ExitCode {
         outputs.push(output);
     }
 
-    if opts.shard.is_none() {
-        match write_summary(&outputs, opts) {
-            Ok(path) => eprintln!("[summary: {}]", path.display()),
-            Err(e) => {
-                eprintln!("error: could not write summary: {e}");
-                return ExitCode::FAILURE;
-            }
+    match write_summary(&outputs, opts) {
+        Ok(path) => eprintln!("[summary: {}]", path.display()),
+        Err(e) => {
+            eprintln!("error: could not write summary: {e}");
+            return ExitCode::FAILURE;
         }
     }
-    let cache = report.cache.map(|stats| (stats, report.total_jobs));
-    if let Err(e) = write_timings(&timings, wall_seconds, opts, cache) {
+    if let Err(e) = write_timings(&timings, wall_seconds, opts) {
         eprintln!("[warning: could not write timings: {e}]");
     }
 
@@ -235,44 +169,30 @@ fn run_selection(selected: &[&Experiment], opts: &RunOpts) -> ExitCode {
 }
 
 /// Write `timings.json`: per-experiment wall-clock seconds plus the
-/// run's worker count, total wall time, and (when a cache was active)
-/// the hit/miss/skip counters. Timings are the one nondeterministic
-/// output, so they live in their own file that the determinism gates
-/// exclude from byte comparison — which is also why the cache counters
-/// belong here and not in `summary.json`.
+/// run's worker count and total wall time. Timings are the one
+/// nondeterministic output, so they live in their own file that the
+/// determinism gates exclude from byte comparison.
 fn write_timings(
     timings: &[(&'static str, f64)],
     wall_seconds: f64,
     opts: &RunOpts,
-    cache: Option<(CacheStats, usize)>,
 ) -> std::io::Result<()> {
     std::fs::create_dir_all(&opts.results_dir)?;
-    let mut doc = Json::obj([
+    let doc = Json::obj([
         ("jobs", Json::from(opts.jobs)),
         ("wall_seconds", Json::from(wall_seconds)),
-    ]);
-    if let Some((stats, total_jobs)) = cache {
-        doc.push_field(
-            "cache",
-            Json::obj([
-                ("hits", Json::from(stats.hits)),
-                ("misses", Json::from(stats.misses)),
-                ("skipped", Json::from(stats.skipped)),
-                ("total_jobs", Json::from(total_jobs)),
-            ]),
-        );
-    }
-    doc.push_field(
-        "experiments",
-        Json::Arr(
-            timings
-                .iter()
-                .map(|&(id, seconds)| {
-                    Json::obj([("id", Json::from(id)), ("seconds", Json::from(seconds))])
-                })
-                .collect(),
+        (
+            "experiments",
+            Json::Arr(
+                timings
+                    .iter()
+                    .map(|&(id, seconds)| {
+                        Json::obj([("id", Json::from(id)), ("seconds", Json::from(seconds))])
+                    })
+                    .collect(),
+            ),
         ),
-    );
+    ]);
     let path = opts.results_dir.join("timings.json");
     let mut body = doc.render_pretty();
     body.push('\n');
@@ -293,16 +213,12 @@ pub fn run_all_main() -> ExitCode {
     };
     if cli.list {
         // Job counts come from plan() under the effective options, so
-        // `--quick --list` shows the quick grid — exactly what a user
-        // sizing --shard N is about to run.
+        // `--quick --list` shows the quick grid a `--quick` run executes.
         for e in REGISTRY {
             let jobs = e.plan(&cli.opts).jobs().len();
             println!("{:<8} {:>4} job(s)  {}", e.id(), jobs, e.title());
         }
         return ExitCode::SUCCESS;
-    }
-    if cli.prune {
-        return prune_cache(&cli.opts);
     }
     let selected: Vec<&Experiment> = if cli.only.is_empty() {
         REGISTRY.iter().collect()
@@ -323,39 +239,6 @@ pub fn run_all_main() -> ExitCode {
         sel
     };
     run_selection(&selected, &cli.opts)
-}
-
-/// Delete cache entries no current experiment generation can ever hit:
-/// every registered experiment's (id, schema) pairs are live, anything
-/// else — stale schemas, removed experiments, corrupt files — goes.
-/// The live set spans the whole registry regardless of `--only`, so a
-/// prune never deletes entries a differently-scoped run still wants.
-fn prune_cache(opts: &RunOpts) -> ExitCode {
-    let dir = opts.cache.clone().expect("parse_args enforces --cache");
-    let mut live: Vec<(&'static str, u32)> = Vec::new();
-    for e in REGISTRY {
-        for job in e.plan(opts).jobs() {
-            let pair = (job.desc().experiment(), job.desc().schema());
-            if !live.contains(&pair) {
-                live.push(pair);
-            }
-        }
-    }
-    match crate::cache::ResultsCache::new(&dir).prune(&live) {
-        Ok(stats) => {
-            eprintln!(
-                "[prune: {} entries removed, {} kept → {}]",
-                stats.pruned,
-                stats.kept,
-                dir.display()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: could not prune {}: {e}", dir.display());
-            ExitCode::FAILURE
-        }
-    }
 }
 
 #[cfg(test)]
@@ -384,7 +267,6 @@ mod tests {
         assert_eq!(cli.opts.results_dir, std::path::PathBuf::from("out"));
         assert_eq!(cli.opts.jobs, 4);
         assert_eq!(cli.only, ["FIG4", "TAB1"]);
-        assert!(cli.opts.cache.is_none());
         assert!(!cli.opts.check);
     }
 
@@ -400,7 +282,7 @@ mod tests {
                 ..RunOpts::default()
             }
         );
-        assert!(!cli.list && !cli.prune && cli.only.is_empty());
+        assert!(!cli.list && cli.only.is_empty());
     }
 
     #[test]
@@ -416,40 +298,8 @@ mod tests {
         assert!(parse_args(["--bogus".to_string()]).is_err());
         assert!(parse_args(["--seed".to_string(), "x".to_string()]).is_err());
         assert!(parse_args(["--jobs".to_string(), "x".to_string()]).is_err());
-    }
-
-    #[test]
-    fn cache_and_shard_flags_parse() {
-        let cli = parse_args(["--cache", "cdir", "--shard", "2/4"].map(String::from)).unwrap();
-        assert_eq!(cli.opts.cache, Some(std::path::PathBuf::from("cdir")));
-        assert_eq!(cli.opts.shard, Some(Shard { index: 2, count: 4 }));
-        let cli = parse_args(["--cache", "cdir"].map(String::from)).unwrap();
-        assert!(cli.opts.shard.is_none());
-    }
-
-    #[test]
-    fn prune_flag_parses_and_requires_a_cache() {
-        let cli = parse_args(["--cache", "cdir", "--prune"].map(String::from)).unwrap();
-        assert!(cli.prune);
-        assert!(
-            parse_args(["--prune".to_string()]).is_err(),
-            "--prune without --cache"
-        );
-    }
-
-    #[test]
-    fn inconsistent_shard_combinations_are_errors() {
-        assert!(
-            parse_args(["--shard", "1/2"].map(String::from)).is_err(),
-            "--shard without --cache"
-        );
-        assert!(
-            parse_args(["--cache", "c", "--shard", "1/2", "--check"].map(String::from)).is_err(),
-            "--shard with --check"
-        );
-        assert!(parse_args(["--shard".to_string()]).is_err());
-        assert!(parse_args(["--shard", "0/2"].map(String::from)).is_err());
-        assert!(parse_args(["--shard", "3/2"].map(String::from)).is_err());
-        assert!(parse_args(["--cache".to_string()]).is_err());
+        assert!(parse_args(["--cache", "x"].map(String::from)).is_err());
+        assert!(parse_args(["--shard", "1/2"].map(String::from)).is_err());
+        assert!(parse_args(["--prune".to_string()]).is_err());
     }
 }

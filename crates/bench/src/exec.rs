@@ -7,29 +7,26 @@
 //! [`ExperimentOutput`]. Construction, execution, and reduction are
 //! strictly separated — no experiment prints or writes mid-run.
 //!
-//! Every job carries a [`JobDesc`]: the canonical, hashable statement of
-//! *what* the job computes (experiment id, schema version, label, mode
-//! flags, seed, config parameters). Its fingerprint keys the
-//! content-addressed results cache (`--cache DIR`), and the flattened
-//! job index drives `--shard i/N` partitioning — both possible only
-//! because jobs are pure functions of their descriptor.
+//! Every job carries a [`JobDesc`]: the canonical statement of *what*
+//! the job computes (experiment id, schema version, label, mode flags,
+//! seed, config parameters), with a stable fingerprint that names the
+//! job uniquely across the registry.
 //!
-//! [`execute`] schedules every job of every plan (under `--shard`, only
-//! the jobs the shard owns) over a pool of `opts.jobs` scoped worker
-//! threads. Determinism is structural, not accidental:
+//! [`execute`] schedules every job of every plan over a pool of
+//! `opts.jobs` scoped worker threads. Determinism is structural, not
+//! accidental:
 //!
 //! * each job builds its own [`Machine`](ksr_machine::Machine)s from an
 //!   explicit seed, and the simulator is deterministic per
 //!   (config, seed) regardless of host scheduling;
 //! * job results land in pre-assigned slots, so the reduce always sees
-//!   them in job order no matter which worker finished first — or
-//!   whether the rows came from the cache instead of a worker;
+//!   them in job order no matter which worker finished first;
 //! * reduces run on the caller's thread in plan order.
 //!
 //! Hence `results/*.json` and `summary.json` are byte-identical at any
-//! `-j`, cold or warm. Wall-clock timings (the only nondeterministic
-//! signal) are kept out of result files and reported separately via
-//! [`ExperimentResult::seconds`] and [`CacheStats`].
+//! `-j`. Wall-clock timings (the only nondeterministic signal) are kept
+//! out of result files and reported separately via
+//! [`ExperimentResult::seconds`].
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -37,21 +34,21 @@ use std::time::Instant;
 
 use ksr_core::{fingerprint, Fingerprint, Json, Progress};
 
-use crate::cache::ResultsCache;
 use crate::check::{CheckScope, ExpCheck};
 use crate::common::{ExperimentOutput, MetricRow, RunOpts};
 
-/// The canonical descriptor of one pure job — everything its closure's
-/// result depends on, and nothing else (no wall-clock, no worker count,
-/// no host details, which is why a cache entry written on one machine
-/// hits on another).
+/// The canonical descriptor of one pure job — the inputs its closure's
+/// result depends on (no wall-clock, no worker count, no host details).
+/// It names a job, not a version of the simulator: the same descriptor
+/// built from different code may compute different rows.
 ///
 /// Planners must route every input the closure captures through the
 /// descriptor: the seed via [`JobDesc::seed`], each config knob (procs,
 /// topology spec, sweep point, episode count, ...) via
 /// [`JobDesc::param`]. The `quick`/`check` flags and the per-experiment
-/// `schema_version` salt come from construction, so reduced sweeps,
-/// checked runs, and code changes each key separately.
+/// schema version come from construction, so the quick and full grids,
+/// checked runs, and workload redefinitions each get distinct
+/// descriptors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobDesc {
     experiment: &'static str,
@@ -68,8 +65,7 @@ impl JobDesc {
     ///
     /// `schema` is the experiment's schema version: bump it whenever the
     /// meaning of the job's output changes (new workload shape, fixed
-    /// model, different row layout) so stale cache entries miss instead
-    /// of resurfacing.
+    /// model, different row layout).
     #[must_use]
     pub fn new(
         experiment: &'static str,
@@ -110,12 +106,6 @@ impl JobDesc {
         self.experiment
     }
 
-    /// The experiment's schema version (bumped to re-key the cache).
-    #[must_use]
-    pub fn schema(&self) -> u32 {
-        self.schema
-    }
-
     /// Human-readable label (shown in progress lines).
     #[must_use]
     pub fn label(&self) -> &str {
@@ -123,9 +113,8 @@ impl JobDesc {
     }
 
     /// The canonical serialized form: compact JSON with fields in fixed
-    /// order. This exact string is hashed for the fingerprint and stored
-    /// in cache entries for collision-proof validation, so any change to
-    /// it invalidates existing caches (deliberately).
+    /// order. This exact string is hashed for the fingerprint, so any
+    /// change to it renames every job (deliberately).
     #[must_use]
     pub fn canonical(&self) -> String {
         Json::obj([
@@ -140,7 +129,7 @@ impl JobDesc {
         .render()
     }
 
-    /// The cache key: the fingerprint of [`JobDesc::canonical`].
+    /// The job's stable name: the fingerprint of [`JobDesc::canonical`].
     #[must_use]
     pub fn fingerprint(&self) -> Fingerprint {
         fingerprint(self.canonical().as_bytes())
@@ -151,7 +140,7 @@ impl JobDesc {
 /// own machines and returns typed rows, plus the [`JobDesc`] stating
 /// exactly which (config, seed) point it is. No printing, no file I/O,
 /// no shared state — which is what makes the grid schedulable in any
-/// order on any number of workers, and cacheable by descriptor.
+/// order on any number of workers.
 pub struct Job {
     desc: JobDesc,
     procs: usize,
@@ -328,41 +317,14 @@ impl std::fmt::Debug for ExperimentPlan {
 /// deliberately stays out of the byte-compared result files.
 #[derive(Debug)]
 pub struct ExperimentResult {
-    /// The reduced output (identical to `plan.run_serial()`) — `None`
-    /// for a shard run, which skips the reduce.
-    pub output: Option<ExperimentOutput>,
-    /// Summed wall-clock seconds of the experiment's executed jobs (for
-    /// `timings.json`; nondeterministic by nature). Cache hits and jobs
-    /// left to other shards count as zero.
+    /// The reduced output (identical to `plan.run_serial()`).
+    pub output: ExperimentOutput,
+    /// Summed wall-clock seconds of the experiment's jobs (for
+    /// `timings.json`; nondeterministic by nature).
     pub seconds: f64,
     /// Aggregated coherence-checking results, merged in job order —
     /// `Some` exactly when `opts.check` was set.
     pub check: Option<ExpCheck>,
-}
-
-/// Cache traffic counters for one run — reported in `timings.json` and
-/// on stderr, never in the byte-compared result files.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Jobs whose rows came from the cache without executing.
-    pub hits: usize,
-    /// Jobs that executed (and, where possible, stored their rows).
-    pub misses: usize,
-    /// Jobs belonging to other shards, neither executed nor loaded.
-    pub skipped: usize,
-}
-
-/// What [`execute`] returns: the per-experiment results plus run-level
-/// execution metadata.
-#[derive(Debug)]
-pub struct ExecReport {
-    /// One entry per plan, in plan order.
-    pub results: Vec<ExperimentResult>,
-    /// Cache counters — `Some` exactly when a cache was in use (i.e.
-    /// `opts.cache` set and not bypassed by `opts.check`).
-    pub cache: Option<CacheStats>,
-    /// Total jobs across every plan (all shards together).
-    pub total_jobs: usize,
 }
 
 struct QueueItem {
@@ -378,20 +340,9 @@ struct JobSlot {
     seconds: f64,
 }
 
-/// The cache to consult for a run: `--check` bypasses it entirely,
-/// because checked runs exist to *observe* execution (their violations
-/// are not rows and cannot be replayed from a cache).
-fn active_cache(opts: &RunOpts) -> Option<ResultsCache> {
-    if opts.check {
-        return None;
-    }
-    opts.cache.as_deref().map(ResultsCache::new)
-}
-
-/// Run one job, wrapped in a check scope when requested, and store the
-/// rows in the cache (when one is active). Returns the filled slot.
-fn run_job(item: Job, check: bool, cache: Option<&ResultsCache>, progress: &Progress) -> JobSlot {
-    let desc = item.desc().clone();
+/// Run one job, wrapped in a check scope when requested. Returns the
+/// filled slot.
+fn run_job(item: Job, check: bool) -> JobSlot {
     let started = Instant::now();
     let (rows, job_check) = if check {
         let scope = CheckScope::install();
@@ -400,65 +351,42 @@ fn run_job(item: Job, check: bool, cache: Option<&ResultsCache>, progress: &Prog
     } else {
         (item.execute(), None)
     };
-    let seconds = started.elapsed().as_secs_f64();
-    if let Some(cache) = cache {
-        if let Err(e) = cache.store(&desc, &rows) {
-            progress.note(format!("[warning: could not cache {}: {e}]", desc.label()));
-        }
-    }
     JobSlot {
         rows,
         check: job_check,
-        seconds,
+        seconds: started.elapsed().as_secs_f64(),
     }
 }
 
-/// Execute `plans` over `opts.jobs` workers and reduce each in plan
-/// order. With `opts.cache` set (and `--check` off), each job first
-/// consults the cache — hits skip execution entirely and count in
-/// [`ExecReport::cache`]. Progress (start/finish/cached per job) goes
-/// through `progress`; nothing here touches stdout, and the only
-/// filesystem traffic is the cache directory.
-///
-/// With `opts.shard = Some(i/N)` only the jobs the shard owns run: those
-/// whose 0-based flattened index `idx` satisfies `idx % N == i - 1`
-/// (round-robin, so each shard gets an even slice of every experiment's
-/// sweep rather than whole experiments). The rest count as
-/// [`CacheStats::skipped`], and no reduce runs, so every
-/// [`ExperimentResult::output`] is `None`: a shard run produces cache
-/// entries, not artifacts. Once all N shards have filled the cache, a
-/// plain cached run executes nothing and reduces to artifacts
-/// byte-identical to an unsharded run.
+/// Execute every job of every plan over `opts.jobs` workers, then reduce
+/// each plan in plan order. Returns one [`ExperimentResult`] per plan,
+/// in plan order. Progress (start/finish per job) goes through
+/// `progress`; nothing here touches stdout or the filesystem.
 #[must_use]
-pub fn execute(plans: Vec<ExperimentPlan>, opts: &RunOpts, progress: &Progress) -> ExecReport {
+pub fn execute(
+    plans: Vec<ExperimentPlan>,
+    opts: &RunOpts,
+    progress: &Progress,
+) -> Vec<ExperimentResult> {
     let total: usize = plans.iter().map(|p| p.jobs.len()).sum();
-    let cache = active_cache(opts);
 
-    // Split every plan into the queue items this run owns and its reduce.
+    // Split every plan into its queue items and its reduce.
     let mut reduces = Vec::with_capacity(plans.len());
     let mut queue = VecDeque::with_capacity(total);
     let mut slots: Vec<Vec<Option<JobSlot>>> = Vec::with_capacity(plans.len());
-    let mut index = 0;
     for (pi, plan) in plans.into_iter().enumerate() {
         slots.push((0..plan.jobs.len()).map(|_| None).collect());
         for (ji, item) in plan.jobs.into_iter().enumerate() {
-            if opts.shard.is_none_or(|shard| shard.owns(index)) {
-                queue.push_back(QueueItem {
-                    plan: pi,
-                    job: ji,
-                    index: index + 1,
-                    item,
-                });
-            }
-            index += 1;
+            queue.push_back(QueueItem {
+                plan: pi,
+                job: ji,
+                index: queue.len() + 1,
+                item,
+            });
         }
         reduces.push(plan.reduce);
     }
-    let workers = opts.jobs.max(1).min(queue.len().max(1));
-    let stats = Mutex::new(CacheStats {
-        skipped: total - queue.len(),
-        ..CacheStats::default()
-    });
+    let workers = opts.jobs.max(1).min(total.max(1));
 
     let queue = Mutex::new(queue);
     let slots = Mutex::new(slots);
@@ -470,31 +398,16 @@ pub fn execute(plans: Vec<ExperimentPlan>, opts: &RunOpts, progress: &Progress) 
                     break;
                 };
                 let label = next.item.label().to_string();
-                let slot = if let Some(rows) = cache.as_ref().and_then(|c| c.load(next.item.desc()))
-                {
-                    progress.cached(&label, next.index, total);
-                    stats.lock().expect("cache stats poisoned").hits += 1;
-                    JobSlot {
-                        rows,
-                        check: None,
-                        seconds: 0.0,
-                    }
-                } else {
-                    progress.started(&label, next.index, total);
-                    let slot = run_job(next.item, check, cache.as_ref(), progress);
-                    progress.finished(&label, next.index, total, (slot.seconds * 1000.0) as u64);
-                    if cache.is_some() {
-                        stats.lock().expect("cache stats poisoned").misses += 1;
-                    }
-                    slot
-                };
+                progress.started(&label, next.index, total);
+                let slot = run_job(next.item, check);
+                progress.finished(&label, next.index, total, (slot.seconds * 1000.0) as u64);
                 slots.lock().expect("result slots poisoned")[next.plan][next.job] = Some(slot);
             });
         }
     });
 
     let slots = slots.into_inner().expect("result slots poisoned");
-    let results = reduces
+    reduces
         .into_iter()
         .zip(slots)
         .map(|(reduce, plan_slots)| {
@@ -506,13 +419,7 @@ pub fn execute(plans: Vec<ExperimentPlan>, opts: &RunOpts, progress: &Progress) 
                 None
             };
             for slot in plan_slots {
-                let Some(slot) = slot else {
-                    assert!(
-                        opts.shard.is_some(),
-                        "executor finished with an unfilled job slot"
-                    );
-                    continue;
-                };
+                let slot = slot.expect("executor finished with an unfilled job slot");
                 rows.push(slot.rows);
                 seconds += slot.seconds;
                 if let (Some(acc), Some(jc)) = (merged.as_mut(), slot.check) {
@@ -520,19 +427,12 @@ pub fn execute(plans: Vec<ExperimentPlan>, opts: &RunOpts, progress: &Progress) 
                 }
             }
             ExperimentResult {
-                output: opts.shard.is_none().then(|| reduce(JobResults::new(rows))),
+                output: reduce(JobResults::new(rows)),
                 seconds,
                 check: merged,
             }
         })
-        .collect();
-    ExecReport {
-        results,
-        cache: cache
-            .is_some()
-            .then(|| stats.into_inner().expect("cache stats poisoned")),
-        total_jobs: total,
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -569,20 +469,6 @@ mod tests {
         })
     }
 
-    /// The reduced output of plan `i` (every unsharded run reduces).
-    fn output(report: &ExecReport, i: usize) -> &ExperimentOutput {
-        report.results[i]
-            .output
-            .as_ref()
-            .expect("unsharded runs reduce")
-    }
-
-    fn temp_cache_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("ksr_exec_cache_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     #[test]
     fn serial_and_parallel_agree_in_job_order() {
         let serial = toy_plan("T", &[3.0, 1.0, 2.0]).run_serial();
@@ -591,16 +477,14 @@ mod tests {
                 jobs,
                 ..RunOpts::default()
             };
-            let report = execute(
+            let results = execute(
                 vec![toy_plan("T", &[3.0, 1.0, 2.0])],
                 &opts,
                 &Progress::disabled(),
             );
-            assert_eq!(report.results.len(), 1);
-            assert_eq!(report.total_jobs, 3);
-            assert_eq!(output(&report, 0).text, serial.text, "jobs={jobs}");
-            assert!(report.results[0].check.is_none());
-            assert!(report.cache.is_none(), "no cache configured");
+            assert_eq!(results.len(), 1);
+            assert_eq!(results[0].output.text, serial.text, "jobs={jobs}");
+            assert!(results[0].check.is_none());
         }
     }
 
@@ -611,21 +495,21 @@ mod tests {
             ..RunOpts::default()
         };
         let plans = vec![toy_plan("A", &[1.0]), toy_plan("B", &[2.0, 4.0])];
-        let report = execute(plans, &opts, &Progress::disabled());
-        assert_eq!(output(&report, 0).id, "A");
-        assert_eq!(output(&report, 1).id, "B");
-        assert!(output(&report, 1).text.contains("v[1] = 4"));
-        assert!(report.results.iter().all(|r| r.seconds >= 0.0));
+        let results = execute(plans, &opts, &Progress::disabled());
+        assert_eq!(results[0].output.id, "A");
+        assert_eq!(results[1].output.id, "B");
+        assert!(results[1].output.text.contains("v[1] = 4"));
+        assert!(results.iter().all(|r| r.seconds >= 0.0));
     }
 
     #[test]
     fn empty_plan_still_reduces() {
-        let report = execute(
+        let results = execute(
             vec![toy_plan("E", &[])],
             &RunOpts::default(),
             &Progress::disabled(),
         );
-        assert_eq!(output(&report, 0).id, "E");
+        assert_eq!(results[0].output.id, "E");
     }
 
     #[test]
@@ -683,8 +567,8 @@ mod tests {
 
     #[test]
     fn canonical_form_is_stable() {
-        // The canonical rendering is an on-disk contract (hashed into
-        // every cache key); changes must be deliberate schema bumps.
+        // The canonical rendering is hashed into every job's
+        // fingerprint; changes must be deliberate.
         let desc = JobDesc::new("FIG4", 3, "fig4 p=8", &RunOpts::quick())
             .seed(1000)
             .param("procs", 8usize)
@@ -696,124 +580,12 @@ mod tests {
     }
 
     #[test]
-    fn warm_cache_skips_execution() {
-        let dir = temp_cache_dir("warm");
+    fn check_mode_merges_a_check_per_plan() {
         let opts = RunOpts {
-            jobs: 2,
-            cache: Some(dir.clone()),
-            ..RunOpts::default()
-        };
-        let cold = execute(
-            vec![toy_plan("C", &[1.0, 2.0, 3.0])],
-            &opts,
-            &Progress::disabled(),
-        );
-        assert_eq!(
-            cold.cache,
-            Some(CacheStats {
-                hits: 0,
-                misses: 3,
-                skipped: 0
-            })
-        );
-        let (progress, rx) = Progress::channel();
-        let warm = execute(vec![toy_plan("C", &[1.0, 2.0, 3.0])], &opts, &progress);
-        drop(progress);
-        assert_eq!(
-            warm.cache,
-            Some(CacheStats {
-                hits: 3,
-                misses: 0,
-                skipped: 0
-            })
-        );
-        assert_eq!(
-            output(&warm, 0).text,
-            output(&cold, 0).text,
-            "cached rows must reduce to the identical output"
-        );
-        // Every event is a Cached notification — nothing started.
-        let events: Vec<_> = rx.into_iter().collect();
-        assert_eq!(events.len(), 3);
-        assert!(events
-            .iter()
-            .all(|e| matches!(e, ksr_core::ProgressEvent::Cached { .. })));
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn check_mode_bypasses_the_cache() {
-        let dir = temp_cache_dir("check_bypass");
-        let opts = RunOpts {
-            cache: Some(dir.clone()),
             check: true,
             ..RunOpts::default()
         };
-        let report = execute(vec![toy_plan("K", &[1.0])], &opts, &Progress::disabled());
-        assert!(
-            report.cache.is_none(),
-            "checked runs must not consult or populate the cache"
-        );
-        assert!(report.results[0].check.is_some());
-        assert!(
-            !dir.exists(),
-            "checked runs must leave no cache entries behind"
-        );
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn shards_partition_round_robin_and_join_hits_everything() {
-        let dir = temp_cache_dir("shard");
-        let values = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let mk = || vec![toy_plan("S", &values)];
-        for index in [1, 2] {
-            let opts = RunOpts {
-                jobs: 2,
-                cache: Some(dir.clone()),
-                shard: Some(crate::common::Shard { index, count: 2 }),
-                ..RunOpts::default()
-            };
-            let report = execute(mk(), &opts, &Progress::disabled());
-            assert_eq!(report.total_jobs, 5);
-            assert!(
-                report.results.iter().all(|r| r.output.is_none()),
-                "a shard run skips the reduce"
-            );
-            let own = if index == 1 { 3 } else { 2 }; // indices {0,2,4} vs {1,3}
-            let stats = report.cache.expect("cache active");
-            assert_eq!(stats.misses, own);
-            assert_eq!(stats.skipped, 5 - own);
-            assert_eq!(stats.hits, 0);
-        }
-        // Re-running a shard is all hits, no re-execution.
-        let opts = RunOpts {
-            cache: Some(dir.clone()),
-            shard: Some(crate::common::Shard { index: 1, count: 2 }),
-            ..RunOpts::default()
-        };
-        let rerun = execute(mk(), &opts, &Progress::disabled())
-            .cache
-            .expect("cache active");
-        assert_eq!(rerun.hits, 3);
-        assert_eq!(rerun.misses, 0);
-        // The union of both shards serves a full run entirely from
-        // cache, byte-identical to a serial one.
-        let serial = mk().pop().unwrap().run_serial();
-        let join_opts = RunOpts {
-            cache: Some(dir.clone()),
-            ..RunOpts::default()
-        };
-        let joined = execute(mk(), &join_opts, &Progress::disabled());
-        assert_eq!(
-            joined.cache,
-            Some(CacheStats {
-                hits: 5,
-                misses: 0,
-                skipped: 0
-            })
-        );
-        assert_eq!(output(&joined, 0).text, serial.text);
-        let _ = std::fs::remove_dir_all(dir);
+        let results = execute(vec![toy_plan("K", &[1.0])], &opts, &Progress::disabled());
+        assert!(results[0].check.is_some());
     }
 }

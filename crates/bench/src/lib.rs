@@ -13,13 +13,8 @@
 //! job is pure and the reduce runs in job order, `results/*.json` and
 //! `summary.json` are byte-identical at any worker count.
 //!
-//! Purity also powers the sweep-at-scale machinery: every job carries a
-//! canonical [`exec::JobDesc`] whose fingerprint keys the
-//! content-addressed results cache ([`cache::ResultsCache`],
-//! `--cache DIR` — warm re-runs execute nothing), and `--shard i/N`
-//! splits one sweep across processes that share a cache: once every
-//! shard is done, a plain cached run executes nothing and the ordered
-//! reduce keeps the artifacts byte-identical to an unsharded run.
+//! Every job also carries a canonical [`exec::JobDesc`] whose
+//! fingerprint names it uniquely across the registry.
 //!
 //! Each reduce returns an [`ExperimentOutput`] carrying rendered text,
 //! figure series, and typed [`MetricRow`]s; `write_to` persists
@@ -31,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod cache;
 pub mod check;
 pub mod cli;
 pub mod cmb_combining;
@@ -53,9 +47,6 @@ pub mod table1_cg;
 pub mod table2_is;
 pub mod table3_sp;
 
-pub use cache::ResultsCache;
-pub use common::{ExperimentOutput, MetricRow, RunOpts, Shard};
-pub use exec::{
-    execute, CacheStats, ExecReport, ExperimentPlan, ExperimentResult, Job, JobDesc, JobResults,
-};
+pub use common::{ExperimentOutput, MetricRow, RunOpts};
+pub use exec::{execute, ExperimentPlan, ExperimentResult, Job, JobDesc, JobResults};
 pub use registry::{Experiment, REGISTRY};

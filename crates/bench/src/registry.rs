@@ -198,8 +198,7 @@ mod tests {
 
     /// Every job descriptor in the registry must name its own
     /// experiment, and no two jobs anywhere in a quick run may share a
-    /// fingerprint — one collision would let the cache serve one job's
-    /// rows for another.
+    /// fingerprint — a fingerprint must select exactly one job.
     #[test]
     fn descriptors_are_well_formed_and_unique_registry_wide() {
         let opts = RunOpts::quick();

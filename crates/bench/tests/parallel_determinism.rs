@@ -44,12 +44,12 @@ fn run_at(jobs: usize, dir: &Path) {
         .iter()
         .map(|id| find(id).expect("registered id").plan(&opts))
         .collect();
-    let report = exec::execute(plans, &opts, &Progress::disabled());
-    assert_eq!(report.results.len(), IDS.len());
+    let results = exec::execute(plans, &opts, &Progress::disabled());
+    assert_eq!(results.len(), IDS.len());
     let mut outputs = Vec::new();
     let mut checks = Vec::new();
-    for (id, result) in IDS.iter().zip(report.results) {
-        let output = result.output.expect("unsharded runs reduce");
+    for (id, result) in IDS.iter().zip(results) {
+        let output = result.output;
         output
             .write_to(&opts.results_dir)
             .expect("write result files");

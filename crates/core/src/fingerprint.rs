@@ -1,20 +1,21 @@
 //! Deterministic 128-bit content fingerprints for job descriptors.
 //!
-//! The sweep cache keys each pure job by a fingerprint of its canonical
-//! descriptor (experiment id, label, config, seed, mode flags — see
+//! Each pure job is named by a fingerprint of its canonical descriptor
+//! (experiment id, label, config, seed, mode flags — see
 //! `ksr_bench::exec::JobDesc`). The requirements differ from the
 //! hot-path tables [`crate::hash::FxHasher`] serves:
 //!
-//! * **Stability is a file-format contract.** A cache directory written
-//!   today must hit tomorrow, on another host, at either word size. The
-//!   known-value tests below pin the exact algorithm; changing it
-//!   silently invalidates every existing cache and must be deliberate.
-//! * **128 bits, not 64.** Cache entries are trusted by fingerprint
-//!   alone, so accidental collisions must be out of reach even across
-//!   millions of descriptors. Two independently-salted [`FxHasher`]
-//!   lanes give 128 bits without importing a cryptographic hash into a
-//!   zero-dependency workspace. (The input is our own descriptor text,
-//!   never untrusted data — adversarial collisions are out of scope.)
+//! * **Stable across runs and hosts.** A fingerprint printed by one run
+//!   must select the same job in another, on another host, at either
+//!   word size. The known-value tests below pin the exact algorithm;
+//!   changing it renames every job and must be deliberate.
+//! * **128 bits, not 64.** A fingerprint alone selects a job, so
+//!   accidental collisions must be out of reach however large the
+//!   registry grows (a registry test asserts there are none today). Two
+//!   independently-salted [`FxHasher`] lanes give 128 bits without
+//!   importing a cryptographic hash into a zero-dependency workspace.
+//!   (The input is our own descriptor text, never untrusted data —
+//!   adversarial collisions are out of scope.)
 //!
 //! [`FxHasher`]: crate::hash::FxHasher
 
@@ -32,8 +33,8 @@ const LANE2_SALT: u64 = 0x4b53_5246_5052_4e32;
 pub struct Fingerprint([u64; 2]);
 
 impl Fingerprint {
-    /// The 32-character lowercase hex form — used as the cache file
-    /// stem, so it must stay filesystem-safe and fixed-width.
+    /// The 32-character lowercase hex form: fixed-width, and safe in
+    /// file names and on command lines.
     #[must_use]
     pub fn hex(&self) -> String {
         format!("{:016x}{:016x}", self.0[0], self.0[1])
@@ -108,9 +109,8 @@ mod tests {
 
     #[test]
     fn known_values_pin_the_algorithm() {
-        // Golden values: the fingerprint is an on-disk cache-key format,
-        // so any change here invalidates every existing cache directory
-        // and must be deliberate. These exact strings must come out on
+        // Golden values: the fingerprint names jobs across runs, so any
+        // change here renames every job and must be deliberate. These exact strings must come out on
         // x86-64 and aarch64 alike.
         assert_eq!(fingerprint(b"").hex(), "0000000000000000f9819c449563ec8c");
         assert_eq!(
@@ -156,8 +156,8 @@ mod tests {
         let mut split = FingerprintBuilder::new();
         split.update(b"abcde");
         split.update(b"fghij");
-        // FxHasher's length tag makes chunking observable; the cache
-        // always hashes one canonical buffer, so the builder only has to
+        // FxHasher's length tag makes chunking observable; a job
+        // descriptor always hashes one canonical buffer, so the builder only has to
         // be self-consistent, not chunking-invariant. Pin the behaviour
         // so nobody assumes otherwise.
         assert_ne!(split.finish(), whole);

@@ -2,8 +2,8 @@
 //!
 //! The experiment harness writes machine-readable results
 //! (`results/<id>.json`, `results/summary.json`) so downstream tooling
-//! can ingest perf trajectories without scraping text tables, and the
-//! sweep cache reads its own entries back ([`Json::parse`]). The
+//! can ingest perf trajectories without scraping text tables, and tests
+//! read such output back ([`Json::parse`]). The
 //! workspace builds offline with no external crates, so this module
 //! provides the small subset of JSON we need: construction, escaping,
 //! deterministic rendering (object keys keep insertion order, so a
@@ -726,7 +726,7 @@ mod tests {
         ]);
         for rendered in [v.render(), v.render_pretty()] {
             let reparsed = Json::parse(&rendered).unwrap();
-            // Byte-identical re-rendering is the cache's contract. (The
+            // Byte-identical re-rendering is the parser's contract. (The
             // value itself may shift representation: Num(2.0) renders
             // "2" and reparses as UInt(2) — both render "2".)
             assert_eq!(reparsed.render(), v.render());

@@ -41,17 +41,6 @@ pub enum ProgressEvent {
         /// Wall-clock duration of the unit, in milliseconds.
         millis: u64,
     },
-    /// A work unit was satisfied from a results cache without running.
-    Cached {
-        /// Human-readable label of the work unit.
-        label: String,
-        /// 1-based position in the overall run.
-        index: usize,
-        /// Total number of work units in the run.
-        total: usize,
-    },
-    /// A free-form status line.
-    Note(String),
 }
 
 impl ProgressEvent {
@@ -70,12 +59,6 @@ impl ProgressEvent {
                 total,
                 millis,
             } => format!("[{index}/{total}] {label} done in {millis} ms"),
-            Self::Cached {
-                label,
-                index,
-                total,
-            } => format!("[{index}/{total}] {label} cached"),
-            Self::Note(msg) => msg.clone(),
         }
     }
 }
@@ -135,11 +118,6 @@ impl Progress {
         }
     }
 
-    /// Report a free-form status line.
-    pub fn note(&self, msg: impl Into<String>) {
-        self.send(ProgressEvent::Note(msg.into()));
-    }
-
     /// Report the start of work unit `index` of `total`.
     pub fn started(&self, label: &str, index: usize, total: usize) {
         self.send(ProgressEvent::Started {
@@ -158,15 +136,6 @@ impl Progress {
             millis,
         });
     }
-
-    /// Report that work unit `index` of `total` was served from a cache.
-    pub fn cached(&self, label: &str, index: usize, total: usize) {
-        self.send(ProgressEvent::Cached {
-            label: label.to_string(),
-            index,
-            total,
-        });
-    }
 }
 
 #[cfg(test)]
@@ -176,7 +145,6 @@ mod tests {
     #[test]
     fn disabled_handle_drops_everything() {
         let p = Progress::disabled();
-        p.note("nobody hears this");
         p.started("x", 1, 2);
         p.finished("x", 1, 2, 5);
     }
@@ -186,22 +154,20 @@ mod tests {
         let (p, rx) = Progress::channel();
         let worker = p.clone();
         worker.started("fig2", 1, 14);
+        p.started("fig3", 2, 14);
         worker.finished("fig2", 1, 14, 120);
-        worker.cached("fig3", 2, 14);
-        p.note("done");
         drop((p, worker));
         let events: Vec<_> = rx.into_iter().collect();
-        assert_eq!(events.len(), 4);
+        assert_eq!(events.len(), 3);
         assert_eq!(events[0].render(), "[1/14] fig2 ...");
-        assert_eq!(events[1].render(), "[1/14] fig2 done in 120 ms");
-        assert_eq!(events[2].render(), "[2/14] fig3 cached");
-        assert_eq!(events[3].render(), "done");
+        assert_eq!(events[1].render(), "[2/14] fig3 ...");
+        assert_eq!(events[2].render(), "[1/14] fig2 done in 120 ms");
     }
 
     #[test]
     fn stderr_handle_prints_from_every_clone() {
         let p = Progress::stderr();
-        p.note("status goes to stderr");
-        p.clone().cached("fig2", 1, 14);
+        p.started("fig2", 1, 14);
+        p.clone().finished("fig2", 1, 14, 3);
     }
 }

@@ -55,9 +55,13 @@ impl XorShift64 {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// Uniform value in `[0, bound)`. `bound` must be non-zero.
+    /// Uniform value in `[0, bound)`.
+    ///
+    /// # Panics
+    ///
+    /// If `bound` is zero: the range is empty.
     pub fn next_below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0, "bound must be non-zero");
+        assert!(bound > 0, "bound must be non-zero");
         // Multiply-shift range reduction (Lemire); slight modulo bias is
         // irrelevant for replacement-way selection.
         ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
@@ -99,6 +103,12 @@ mod tests {
         let mut b = XorShift64::new(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bound must be non-zero")]
+    fn empty_range_panics_in_every_build() {
+        let _ = XorShift64::new(1).next_below(0);
     }
 
     #[test]

@@ -516,6 +516,9 @@ impl MemorySystem {
         }
         // Single-writer invariant — suspended when a fault is seeded on
         // purpose, so the checker (not this assert) is what reports it.
+        // Debug builds only: it sweeps every holder on every access, and
+        // in release builds `--check`'s coherence checker enforces the
+        // same invariant from the trace.
         debug_assert!(
             self.options.fault.is_some() || self.dir.find_violation().is_none(),
             "ALLCACHE invariant (at most one writable copy, no Shared beside \
@@ -775,22 +778,18 @@ impl MemorySystem {
     }
 
     fn release_sub_page(&mut self, cell: usize, sp: u64, now: Cycles) -> Outcome {
-        let st = self.dir.state_of(sp, cell);
-        debug_assert_eq!(
-            st,
+        assert_eq!(
+            self.dir.state_of(sp, cell),
             SubpageState::Atomic,
             "get_sub_page invariant (release_sub_page is only legal while the \
              releasing cell holds the sub-page Atomic) broken: cell {cell}, \
              sub-page {sp}"
         );
         let done_at = now + self.timing.localcache_write;
-        let released = st == SubpageState::Atomic;
-        if released {
-            self.set_state(sp, cell, SubpageState::Exclusive, done_at);
-        }
+        self.set_state(sp, cell, SubpageState::Exclusive, done_at);
         Outcome::Done {
             done_at,
-            visible_at: released.then_some(done_at),
+            visible_at: Some(done_at),
         }
     }
 
@@ -943,7 +942,7 @@ impl MemorySystem {
                 Outcome::done(done_at)
             }
             MemOp::ReleaseSubPage => {
-                debug_assert_eq!(
+                assert_eq!(
                     self.dir.state_of(sp, cell),
                     SubpageState::Atomic,
                     "get_sub_page invariant (release_sub_page is only legal while \
@@ -1179,6 +1178,29 @@ mod tests {
         let release = m.access(0, 0, MemOp::ReleaseSubPage, 500);
         assert_eq!(done(release), 500 + CacheTiming::ksr1().localcache_write);
         assert_eq!(visible(release), Some(done(release)));
+    }
+
+    #[test]
+    #[should_panic(expected = "get_sub_page invariant")]
+    fn release_by_a_non_holder_panics() {
+        let mut m = ksr(2);
+        m.access(0, 0, MemOp::GetSubPage, 0);
+        m.access(1, 0, MemOp::ReleaseSubPage, 500);
+    }
+
+    #[test]
+    #[should_panic(expected = "get_sub_page invariant")]
+    fn butterfly_release_by_a_non_holder_panics() {
+        let mut m = MemorySystem::new(
+            MemGeometry::ksr1(),
+            CacheTiming::butterfly(),
+            Topology::butterfly(4).build(4).unwrap(),
+            4,
+            1,
+        )
+        .unwrap();
+        m.access(0, 0, MemOp::GetSubPage, 0);
+        m.access(1, 0, MemOp::ReleaseSubPage, 500);
     }
 
     #[test]

@@ -134,7 +134,7 @@ pub fn explore(
         }
         runs += 1;
         let outcome = runner(&prefix);
-        debug_assert_eq!(
+        assert_eq!(
             outcome.fanouts.len(),
             outcome.decisions.len(),
             "runner must report one decision per choice point"
@@ -293,6 +293,17 @@ mod tests {
         );
         assert!(pruned.runs < exact.runs, "{} runs", pruned.runs);
         assert_eq!(pruned.distinct_states, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "one decision per choice point")]
+    fn runner_contract_is_enforced() {
+        let _ = explore(ExploreConfig::default(), |_: &[usize]| RunOutcome {
+            fanouts: vec![2, 2],
+            decisions: vec![0],
+            state_hash: 0,
+            violations: Vec::new(),
+        });
     }
 
     #[test]
