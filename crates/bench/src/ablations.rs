@@ -17,81 +17,24 @@
 //!   false-sharing cost trade against tree height;
 //! * **poststore in kernels** — covered by TAB1 (CG) and TAB4 (SP).
 
-use ksr_core::time::cycles_to_seconds;
 use ksr_core::Json;
-use ksr_machine::{program, Machine, MachineConfig, Program};
+use ksr_machine::{Machine, MachineConfig};
 use ksr_mem::ProtocolOptions;
 use ksr_net::{RingHierarchyConfig, Topology};
-use ksr_sync::{BarrierAlg, Episode, McsBarrier, TournamentBarrier};
+use ksr_sync::{McsBarrier, TournamentBarrier};
 
 use crate::common::{ExperimentOutput, RunOpts};
 use crate::exec::{ExperimentPlan, Job, JobDesc};
+use crate::fig4_barriers::episode_seconds;
+use crate::lad_latency::read_stream;
 
 /// Registry id.
 pub const ID: &str = "ABL";
 /// Registry title.
 pub const TITLE: &str = "Ablations of the paper's explanatory mechanisms";
-/// Cache schema version of the ablation jobs — bump when any driver or
-/// the job layout changes meaning, so stale cache entries miss.
+/// Schema version of the ablation jobs, part of every job's canonical
+/// descriptor — bump when any driver or the job layout changes meaning.
 const SCHEMA: u32 = 1;
-
-/// Mean barrier episode seconds on a machine built from `cfg`.
-fn episode_secs<B, F>(cfg: MachineConfig, procs: usize, episodes: usize, alloc: F) -> f64
-where
-    B: BarrierAlg,
-    F: FnOnce(&mut Machine) -> B,
-{
-    let mut m = Machine::new(cfg).expect("machine");
-    let b = alloc(&mut m);
-    let run_eps = episodes + 2;
-    let programs: Vec<Box<dyn Program>> = (0..procs)
-        .map(|p| {
-            program(move |mut cpu| async move {
-                let mut ep = Episode::default();
-                for e in 0..run_eps {
-                    cpu.compute(((p * 89 + e * 37) % 200) as u64 + 20);
-                    b.wait(&mut cpu, &mut ep).await;
-                }
-            })
-        })
-        .collect();
-    let r = m.run(programs).expect("run");
-    cycles_to_seconds(r.duration_cycles() / run_eps as u64, m.config().clock_hz)
-}
-
-/// Remote-read latency (cycles) with all processors hammering, under a
-/// custom ring geometry.
-fn hammer_latency(cfg: MachineConfig, procs: usize) -> f64 {
-    let mut m = Machine::new(cfg).expect("machine");
-    let arrays: Vec<u64> = (0..procs)
-        .map(|_| m.alloc(256 * 1024, 16384).expect("alloc"))
-        .collect();
-    let results = ksr_machine::SharedU64::alloc(&mut m, procs).expect("alloc");
-    for (p, &a) in arrays.iter().enumerate() {
-        m.warm((p + 1) % m.config().cells, a, 256 * 1024);
-    }
-    let samples = 512u64;
-    m.run(
-        (0..procs)
-            .map(|p| {
-                let a = arrays[p];
-                program(move |mut cpu| async move {
-                    let t0 = cpu.now();
-                    for i in 0..samples {
-                        let _ = cpu.read_u64(a + (i * 128) % (256 * 1024)).await;
-                    }
-                    let mean = (cpu.now() - t0) / samples;
-                    results.set(&mut cpu, p, mean).await;
-                })
-            })
-            .collect(),
-    )
-    .expect("run");
-    (0..procs)
-        .map(|p| results.peek(&mut m, p) as f64)
-        .sum::<f64>()
-        / procs as f64
-}
 
 /// Plan all ablations: one pure job per (mechanism, setting) point.
 #[must_use]
@@ -134,22 +77,17 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("variant", variant)
             .param("procs", procs)
             .param("episodes", episodes);
-        jobs.push(Job::value(
-            desc,
-            procs,
-            "wakeup_episode_seconds",
-            "s",
-            move || {
-                let mut cfg = MachineConfig::ksr1(seed1);
-                cfg.protocol = protocol;
-                episode_secs(cfg, procs, episodes, |m| {
-                    TournamentBarrier::alloc(m, procs, true).expect("alloc")
-                })
-            },
-        ));
+        jobs.push(Job::value(desc, "wakeup_episode_seconds", "s", move || {
+            let mut cfg = MachineConfig::ksr1(seed1);
+            cfg.protocol = protocol;
+            episode_seconds(cfg, procs, episodes, |m| {
+                TournamentBarrier::alloc(m, procs, true).expect("alloc")
+            })
+        }));
     }
 
     // 2. Sub-ring interleaving: one fat lane vs two interleaved lanes.
+    let mut hammer_points = Vec::new();
     let seed2 = opts.machine_seed(2);
     for subrings in [2usize, 1] {
         let desc = JobDesc::new(ID, SCHEMA, format!("ABL subrings={subrings}"), opts)
@@ -157,21 +95,13 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("mechanism", "subrings")
             .param("subrings", subrings)
             .param("procs", procs);
-        jobs.push(Job::value(
-            desc,
-            procs,
-            "hammer_latency_cycles",
-            "cycles",
-            move || {
-                let mut cfg = MachineConfig::ksr1(seed2);
-                if subrings == 1 {
-                    let mut ring = RingHierarchyConfig::ksr1_32();
-                    ring.leaf.subrings = 1;
-                    cfg.topology = Topology::ring(ring);
-                }
-                hammer_latency(cfg, procs)
-            },
-        ));
+        let mut cfg = MachineConfig::ksr1(seed2);
+        if subrings == 1 {
+            let mut ring = RingHierarchyConfig::ksr1_32();
+            ring.leaf.subrings = 1;
+            cfg.topology = Topology::ring(ring);
+        }
+        hammer_points.push((desc, cfg));
     }
 
     // 3. Slot-count sweep: where does the saturation knee go?
@@ -182,17 +112,24 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("mechanism", "slots")
             .param("slots", slots)
             .param("procs", procs);
+        let mut cfg = MachineConfig::ksr1(seed3);
+        let mut ring = RingHierarchyConfig::ksr1_32();
+        ring.leaf.slots = slots;
+        cfg.topology = Topology::ring(ring);
+        hammer_points.push((desc, cfg));
+    }
+
+    // Both sweeps measure remote-read latency with every processor
+    // hammering a ring neighbour's data.
+    for (desc, cfg) in hammer_points {
         jobs.push(Job::value(
             desc,
-            procs,
             "hammer_latency_cycles",
             "cycles",
             move || {
-                let mut cfg = MachineConfig::ksr1(seed3);
-                let mut ring = RingHierarchyConfig::ksr1_32();
-                ring.leaf.slots = slots;
-                cfg.topology = Topology::ring(ring);
-                hammer_latency(cfg, procs)
+                let mut m = Machine::new(cfg).expect("machine");
+                let cells = m.config().cells;
+                read_stream(&mut m, procs, 256 * 1024, 512, |p| (p + 1) % cells)
             },
         ));
     }
@@ -206,20 +143,14 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("arity", arity)
             .param("procs", procs)
             .param("episodes", episodes);
-        jobs.push(Job::value(
-            desc,
-            procs,
-            "mcs_episode_seconds",
-            "s",
-            move || {
-                episode_secs(MachineConfig::ksr1(seed4), procs, episodes, |m| {
-                    McsBarrier::alloc_with_arity(m, procs, false, arity).expect("alloc")
-                })
-            },
-        ));
+        jobs.push(Job::value(desc, "mcs_episode_seconds", "s", move || {
+            episode_seconds(MachineConfig::ksr1(seed4), procs, episodes, |m| {
+                McsBarrier::alloc_with_arity(m, procs, false, arity).expect("alloc")
+            })
+        }));
     }
 
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         let full = res.value(0);
         let snarf_only = res.value(1);
@@ -300,12 +231,19 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
 mod tests {
     use super::*;
 
+    /// One hammer point, the way the sub-ring and slot jobs run it.
+    fn hammer(cfg: MachineConfig, procs: usize) -> f64 {
+        let mut m = Machine::new(cfg).expect("machine");
+        let cells = m.config().cells;
+        read_stream(&mut m, procs, 256 * 1024, 512, |p| (p + 1) % cells)
+    }
+
     #[test]
     fn snarfing_carries_the_wakeup_when_poststore_is_off() {
         let run = |protocol: ProtocolOptions| {
             let mut cfg = MachineConfig::ksr1(1);
             cfg.protocol = protocol;
-            episode_secs(cfg, 16, 5, |m| {
+            episode_seconds(cfg, 16, 5, |m| {
                 TournamentBarrier::alloc(m, 16, true).expect("alloc")
             })
         };
@@ -331,7 +269,7 @@ mod tests {
             let mut ring = RingHierarchyConfig::ksr1_32();
             ring.leaf.slots = slots;
             cfg.topology = Topology::ring(ring);
-            hammer_latency(cfg, 16)
+            hammer(cfg, 16)
         };
         let few = latency_at(8);
         let many = latency_at(32);
@@ -343,13 +281,13 @@ mod tests {
 
     #[test]
     fn single_subring_contends_more() {
-        let two = hammer_latency(MachineConfig::ksr1(5), 16);
+        let two = hammer(MachineConfig::ksr1(5), 16);
         let mut cfg = MachineConfig::ksr1(5);
         let mut ring = RingHierarchyConfig::ksr1_32();
         ring.leaf.subrings = 1;
         // Keep total slots equal so only the interleaving changes.
         cfg.topology = Topology::ring(ring);
-        let one = hammer_latency(cfg, 16);
+        let one = hammer(cfg, 16);
         assert!(
             one >= two * 0.95,
             "collapsing the interleave must not get cheaper: {two:.1} vs {one:.1}"
@@ -359,7 +297,7 @@ mod tests {
     #[test]
     fn mcs_arity_sweep_runs_and_orders_sanely() {
         for arity in [2usize, 4, 8] {
-            let t = episode_secs(MachineConfig::ksr1(7), 8, 3, |m| {
+            let t = episode_seconds(MachineConfig::ksr1(7), 8, 3, |m| {
                 McsBarrier::alloc_with_arity(m, 8, false, arity).expect("alloc")
             });
             assert!(t > 0.0 && t < 0.01, "arity {arity}: {t}");

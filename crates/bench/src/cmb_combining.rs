@@ -22,8 +22,9 @@ use crate::exec::{ExperimentPlan, Job, JobDesc};
 pub const ID: &str = "CMB";
 /// Registry title.
 pub const TITLE: &str = "Hot-spot fetch-and-add with ARD combining (ablation)";
-/// Cache schema version of the CMB jobs — bump when [`hot_spot`] or the
-/// two-row job layout changes meaning, so stale cache entries miss.
+/// Schema version of the CMB jobs, part of every job's canonical
+/// descriptor — bump when [`hot_spot`] or the two-row job layout
+/// changes meaning.
 const SCHEMA: u32 = 1;
 
 /// One hot-spot run: every cell performs `ops` fetch-adds on one shared
@@ -91,7 +92,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 .param("cells", cells)
                 .param("combining", combining)
                 .param("ops", ops);
-            jobs.push(Job::new(desc, cells, move || {
+            jobs.push(Job::new(desc, move || {
                 let (per_op, frac) = hot_spot(spec, combining, ops, seed + cells as u64);
                 vec![
                     MetricRow::new("hot_spot_op_seconds", &[], per_op, "s"),
@@ -100,7 +101,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             }));
         }
     }
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         out.line(format_args!(
             "hot-spot fetch-add, every cell incrementing one counter ({ops} ops each):"

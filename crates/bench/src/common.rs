@@ -294,6 +294,16 @@ pub fn proc_sweep_32(quick: bool) -> Vec<usize> {
     }
 }
 
+/// A ring-tree spec as its stable `"32x8x4"` tag (job descriptors and
+/// rendered text).
+#[must_use]
+pub fn spec_tag(spec: &[usize]) -> String {
+    spec.iter()
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join("x")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

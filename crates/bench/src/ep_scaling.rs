@@ -17,8 +17,9 @@ use crate::exec::{ExperimentPlan, Job, JobDesc};
 pub const ID: &str = "EP";
 /// Registry title.
 pub const TITLE: &str = "Embarrassingly Parallel kernel (§3.3)";
-/// Cache schema version of the EP jobs — bump when [`ep_time`] or the
-/// two-row job layout changes meaning, so stale cache entries miss.
+/// Schema version of the EP jobs, part of every job's canonical
+/// descriptor — bump when [`ep_time`] or the two-row job layout changes
+/// meaning.
 const SCHEMA: u32 = 1;
 
 /// `(seconds, aggregate MFLOPS)` for one EP run.
@@ -55,7 +56,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 .seed(seed)
                 .param("pairs", cfg.pairs)
                 .param("procs", p);
-            Job::new(desc, p, move || {
+            Job::new(desc, move || {
                 let (t, mf) = ep_time(cfg, p, seed);
                 vec![
                     MetricRow::new("ep_run_seconds", &[], t, "s"),
@@ -64,7 +65,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             })
         })
         .collect();
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         let times: Vec<(usize, f64)> = procs
             .iter()

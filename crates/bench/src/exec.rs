@@ -1,16 +1,18 @@
 //! Pure jobs, canonical job descriptors, and the parallel experiment
 //! executor.
 //!
-//! One experiment = an [`ExperimentPlan`]: a list of pure [`Job`]s
-//! (config + seed + program factory → typed [`MetricRow`]s) plus an
-//! ordered reduce that turns the per-job rows back into the experiment's
-//! [`ExperimentOutput`]. Construction, execution, and reduction are
-//! strictly separated — no experiment prints or writes mid-run.
+//! One experiment = `ExperimentPlan::new(jobs, reduce)`: a list of pure
+//! [`Job`]s plus an ordered reduce that turns the per-job rows back into
+//! the experiment's [`ExperimentOutput`]. Construction, execution, and
+//! reduction are strictly separated — no experiment prints or writes
+//! mid-run.
 //!
-//! Every job carries a [`JobDesc`]: the canonical statement of *what*
-//! the job computes (experiment id, schema version, label, mode flags,
-//! seed, config parameters), with a stable fingerprint that names the
-//! job uniquely across the registry.
+//! A job is `Job::new(desc, run)`, where `run` builds its own machines
+//! and returns typed [`MetricRow`]s, or `Job::value(desc, metric, unit,
+//! f)` when it measures one number. `desc` is a [`JobDesc`]: the
+//! canonical statement of *what* the job computes (experiment id,
+//! schema version, label, mode flags, seed, config parameters), with a
+//! stable fingerprint that names the job uniquely across the registry.
 //!
 //! [`execute`] schedules every job of every plan over a pool of
 //! `opts.jobs` scoped worker threads. Determinism is structural, not
@@ -143,20 +145,14 @@ impl JobDesc {
 /// order on any number of workers.
 pub struct Job {
     desc: JobDesc,
-    procs: usize,
     run: Box<dyn FnOnce() -> Vec<MetricRow> + Send>,
 }
 
 impl Job {
     /// A job returning arbitrarily many rows.
-    pub fn new(
-        desc: JobDesc,
-        procs: usize,
-        run: impl FnOnce() -> Vec<MetricRow> + Send + 'static,
-    ) -> Self {
+    pub fn new(desc: JobDesc, run: impl FnOnce() -> Vec<MetricRow> + Send + 'static) -> Self {
         Self {
             desc,
-            procs,
             run: Box::new(run),
         }
     }
@@ -165,15 +161,12 @@ impl Job {
     /// `metric` (the reduce re-derives the fully parameterized rows).
     pub fn value(
         desc: JobDesc,
-        procs: usize,
         metric: &str,
         unit: &str,
         f: impl FnOnce() -> f64 + Send + 'static,
     ) -> Self {
         let (metric, unit) = (metric.to_string(), unit.to_string());
-        Self::new(desc, procs, move || {
-            vec![MetricRow::new(&metric, &[], f(), &unit)]
-        })
+        Self::new(desc, move || vec![MetricRow::new(&metric, &[], f(), &unit)])
     }
 
     /// The job's canonical descriptor.
@@ -188,13 +181,6 @@ impl Job {
         self.desc.label()
     }
 
-    /// Simulated processors the job's largest machine runs (informs
-    /// scheduling heuristics and progress display).
-    #[must_use]
-    pub fn procs(&self) -> usize {
-        self.procs
-    }
-
     /// Run the job to completion on the current thread.
     #[must_use]
     pub fn execute(self) -> Vec<MetricRow> {
@@ -206,7 +192,6 @@ impl std::fmt::Debug for Job {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Job")
             .field("desc", &self.desc)
-            .field("procs", &self.procs)
             .finish_non_exhaustive()
     }
 }
@@ -255,8 +240,6 @@ pub type Reduce = Box<dyn FnOnce(JobResults) -> ExperimentOutput + Send>;
 
 /// One experiment as pure data: its jobs and the ordered reduce.
 pub struct ExperimentPlan {
-    id: &'static str,
-    title: &'static str,
     jobs: Vec<Job>,
     reduce: Reduce,
 }
@@ -264,29 +247,13 @@ pub struct ExperimentPlan {
 impl ExperimentPlan {
     /// Assemble a plan.
     pub fn new(
-        id: &'static str,
-        title: &'static str,
         jobs: Vec<Job>,
         reduce: impl FnOnce(JobResults) -> ExperimentOutput + Send + 'static,
     ) -> Self {
         Self {
-            id,
-            title,
             jobs,
             reduce: Box::new(reduce),
         }
-    }
-
-    /// Experiment id (DESIGN.md index key).
-    #[must_use]
-    pub fn id(&self) -> &'static str {
-        self.id
-    }
-
-    /// Human title.
-    #[must_use]
-    pub fn title(&self) -> &'static str {
-        self.title
     }
 
     /// The jobs, for inspection.
@@ -307,7 +274,6 @@ impl ExperimentPlan {
 impl std::fmt::Debug for ExperimentPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExperimentPlan")
-            .field("id", &self.id)
             .field("jobs", &self.jobs.len())
             .finish_non_exhaustive()
     }
@@ -448,18 +414,10 @@ mod tests {
     fn toy_plan(id: &'static str, values: &[f64]) -> ExperimentPlan {
         let jobs = values
             .iter()
-            .map(|&v| {
-                Job::value(
-                    toy_desc(id, format!("{id} v={v}"), v),
-                    1,
-                    "m",
-                    "s",
-                    move || v,
-                )
-            })
+            .map(|&v| Job::value(toy_desc(id, format!("{id} v={v}"), v), "m", "s", move || v))
             .collect();
         let n = values.len();
-        ExperimentPlan::new(id, "toy", jobs, move |res| {
+        ExperimentPlan::new(jobs, move |res| {
             let mut out = ExperimentOutput::new(id, "toy");
             assert_eq!(res.len(), n);
             for i in 0..res.len() {

@@ -41,9 +41,9 @@ use crate::exec::{ExperimentPlan, Job, JobDesc};
 pub const ID: &str = "EXPLORE";
 /// Registry title.
 pub const TITLE: &str = "Small-scope schedule exploration of seeded concurrency mutants";
-/// Cache schema version of the EXPLORE jobs — bump when [`run_one`], any
-/// verification pass, or the row layout changes meaning, so stale cache
-/// entries miss.
+/// Schema version of the EXPLORE jobs, part of every job's canonical
+/// descriptor — bump when [`run_one`], any verification pass, or the
+/// row layout changes meaning.
 const SCHEMA: u32 = 1;
 
 /// The workloads the explorer sweeps: two clean controls and the three
@@ -278,7 +278,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("scenario", s.label())
             .param("max_runs", b.max_runs)
             .param("max_choice_points", b.max_choice_points);
-        jobs.push(Job::new(desc, s.procs(), move || {
+        jobs.push(Job::new(desc, move || {
             let rep = explore_scenario(s, seed, budget(quick));
             let base = [("scenario", Json::from(s.label()))];
             let mut rows = vec![
@@ -316,7 +316,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             rows
         }));
     }
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         out.line(format_args!(
             "bounded DFS over coordinator tie-breaks, all verification passes per schedule \

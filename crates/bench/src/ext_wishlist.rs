@@ -16,37 +16,32 @@
 //!    `Cpu::prefetch_subcache` implements it; the experiment measures a
 //!    local-cache-resident sweep with and without it.
 
-use ksr_core::time::cycles_to_seconds;
 use ksr_core::Json;
 use ksr_machine::{program, Machine};
-use ksr_nas::{CgConfig, CgSetup};
+use ksr_nas::CgConfig;
 
 use crate::common::{ExperimentOutput, RunOpts};
 use crate::exec::{ExperimentPlan, Job, JobDesc};
-use crate::table1_cg::SCALE;
+use crate::table1_cg::{cg_time, paper_config};
 
 /// Registry id.
 pub const ID: &str = "EXT";
 /// Registry title.
 pub const TITLE: &str = "The §4 wish-list features, implemented and measured";
-/// Cache schema version of the wish-list jobs — bump when [`cg_seconds`]
-/// or [`sweep_cycles`] changes meaning, so stale cache entries miss.
+/// Schema version of the wish-list jobs, part of every job's canonical
+/// descriptor — bump when [`cg_config`] or [`sweep_cycles`] changes
+/// meaning.
 const SCHEMA: u32 = 1;
 
-/// CG run time with/without matrix sub-cache bypass.
-fn cg_seconds(uncache_matrix: bool, procs: usize, quick: bool, machine_seed: u64) -> f64 {
-    let cfg = CgConfig {
-        n: if quick { 280 } else { 1400 },
-        offdiag_per_row: if quick { 36 } else { 144 },
+/// EXT's CG problem: TAB1's matrix with its own seed and iteration
+/// count, optionally bypassing the sub-cache for the matrix streams.
+fn cg_config(uncache_matrix: bool, quick: bool) -> CgConfig {
+    CgConfig {
         iterations: if quick { 2 } else { 4 },
         seed: 4_040,
-        poststore: false,
         uncache_matrix,
-    };
-    let mut m = Machine::ksr1_scaled(machine_seed, SCALE).expect("machine");
-    let setup = CgSetup::new(&mut m, cfg, procs).expect("setup");
-    let r = m.run(setup.programs()).expect("run");
-    cycles_to_seconds(r.duration_cycles(), m.config().clock_hz)
+        ..paper_config(quick)
+    }
 }
 
 /// Sweep a local-cache-resident array, optionally sub-cache-prefetching
@@ -90,8 +85,8 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("feature", "cg_uncache")
             .param("uncache_matrix", uncache)
             .param("procs", procs);
-        jobs.push(Job::value(desc, procs, "cg_run_seconds", "s", move || {
-            cg_seconds(uncache, procs, quick, cg_seed)
+        jobs.push(Job::value(desc, "cg_run_seconds", "s", move || {
+            cg_time(cg_config(uncache, quick), procs, cg_seed)
         }));
     }
     for prefetch in [false, true] {
@@ -101,13 +96,12 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("prefetch", prefetch);
         jobs.push(Job::value(
             desc,
-            1,
             "sweep_cycles_per_access",
             "cycles",
             move || sweep_cycles(prefetch, sweep_seed),
         ));
     }
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         let base = res.value(0);
         let bypass = res.value(1);
@@ -174,8 +168,8 @@ mod tests {
 
     #[test]
     fn cg_bypass_experiment_runs() {
-        let base = cg_seconds(false, 2, true, 900);
-        let bypass = cg_seconds(true, 2, true, 900);
+        let base = cg_time(cg_config(false, true), 2, 900);
+        let bypass = cg_time(cg_config(true, true), 2, 900);
         assert!(base > 0.0 && bypass > 0.0);
         // Either direction is a legitimate finding; it must stay within a
         // plausible band rather than explode.

@@ -31,14 +31,14 @@ use crate::exec::{ExperimentPlan, Job, JobDesc};
 pub const ID_FIG2: &str = "FIG2";
 /// Registry title of the Figure 2 sweep.
 pub const TITLE_FIG2: &str = "Read/Write Latencies on the KSR (Figure 2)";
-/// Cache schema version of the FIG2 jobs — bump when [`measure`] or the
-/// job layout changes meaning, so stale cache entries miss.
+/// Schema version of the FIG2 jobs, part of every job's canonical
+/// descriptor — bump when [`measure`] or the job layout changes meaning.
 const SCHEMA_FIG2: u32 = 1;
 /// Registry id of the §3.1 stride experiments.
 pub const ID_SEC31A: &str = "SEC31A";
 /// Registry title of the §3.1 stride experiments.
 pub const TITLE_SEC31A: &str = "Block/page allocation overheads at allocating strides (§3.1 text)";
-/// Cache schema version of the SEC31A jobs.
+/// Schema version of the SEC31A jobs (see [`SCHEMA_FIG2`]).
 const SCHEMA_SEC31A: u32 = 1;
 
 const MB: u64 = 1024 * 1024;
@@ -145,12 +145,12 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 .param("procs", p)
                 .param("stride", stride)
                 .param("samples", samples);
-            jobs.push(Job::value(desc, p, "mean_access_seconds", "s", move || {
+            jobs.push(Job::value(desc, "mean_access_seconds", "s", move || {
                 measure(target, p, stride, samples, seed)
             }));
         }
     }
-    ExperimentPlan::new(ID_FIG2, TITLE_FIG2, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID_FIG2, TITLE_FIG2);
         let mut series = vec![
             Series::new("Network Read"),
@@ -240,12 +240,12 @@ pub fn plan_strides(opts: &RunOpts) -> ExperimentPlan {
             .param("target", name)
             .param("stride", stride)
             .param("samples", n);
-            Job::value(desc, 1, "mean_access_seconds", "s", move || {
+            Job::value(desc, "mean_access_seconds", "s", move || {
                 measure(target, 1, stride, n, seed)
             })
         })
         .collect();
-    ExperimentPlan::new(ID_SEC31A, TITLE_SEC31A, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID_SEC31A, TITLE_SEC31A);
         let local_subblock = res.value(0);
         let local_block = res.value(1);

@@ -26,8 +26,8 @@ use crate::exec::{ExperimentPlan, Job, JobDesc};
 pub const ID: &str = "FIG3";
 /// Registry title.
 pub const TITLE: &str = "Read/Write and Exclusive locks on the KSR (Figure 3)";
-/// Cache schema version of the FIG3 jobs — bump when the workload or
-/// row layout changes meaning, so stale cache entries miss.
+/// Schema version of the FIG3 jobs, part of every job's canonical
+/// descriptor — bump when the workload or row layout changes meaning.
 const SCHEMA: u32 = 1;
 
 const HOLD: u64 = 3_000;
@@ -119,12 +119,12 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                     }),
                 )
                 .param("procs", p);
-            jobs.push(Job::value(desc, p, "run_seconds", "s", move || {
+            jobs.push(Job::value(desc, "run_seconds", "s", move || {
                 run_workload(mix, p, seed)
             }));
         }
     }
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         let mut series: Vec<Series> = MIXES.iter().map(|&(_, l)| Series::new(l)).collect();
         for (i, &(si, p)) in points.iter().enumerate() {

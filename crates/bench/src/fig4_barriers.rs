@@ -14,7 +14,7 @@
 use ksr_core::table::Series;
 use ksr_core::time::cycles_to_seconds;
 use ksr_core::Json;
-use ksr_machine::{program, Machine, Program};
+use ksr_machine::{program, Machine, MachineConfig, Program};
 use ksr_sync::{AnyBarrier, BarrierAlg, BarrierKind, Episode};
 
 use crate::common::{proc_sweep_32, ExperimentOutput, RunOpts};
@@ -33,9 +33,9 @@ pub const ID_SEC323: &str = "SEC323";
 /// Registry title of the §3.2.3 comparison.
 pub const TITLE_SEC323: &str =
     "Barrier comparison with the Sequent Symmetry and the BBN Butterfly (§3.2.3)";
-/// Cache schema version shared by the barrier sweeps — bump when
-/// [`episode_time`] or the job layout changes meaning, so stale cache
-/// entries miss.
+/// Schema version shared by the barrier sweeps, part of every job's
+/// canonical descriptor — bump when [`episode_seconds`] or the job
+/// layout changes meaning.
 const SCHEMA: u32 = 1;
 
 /// Machines a barrier sweep can target.
@@ -52,17 +52,19 @@ pub enum BarrierMachine {
 }
 
 impl BarrierMachine {
-    fn build(self, procs: usize, seed: u64) -> Machine {
+    /// The machine a `procs`-processor sweep point runs on (the bus and
+    /// MIN machines are built to the processor count, at least 2).
+    #[must_use]
+    pub fn config(self, procs: usize, seed: u64) -> MachineConfig {
         match self {
-            Self::Ksr1 => Machine::ksr1(seed),
-            Self::Ksr2 => Machine::ksr2(seed),
-            Self::Symmetry => Machine::symmetry(procs.max(2), seed),
-            Self::Butterfly => Machine::butterfly(procs.max(2), seed),
+            Self::Ksr1 => MachineConfig::ksr1(seed),
+            Self::Ksr2 => MachineConfig::ksr2(seed),
+            Self::Symmetry => MachineConfig::symmetry(procs.max(2), seed),
+            Self::Butterfly => MachineConfig::butterfly(procs.max(2), seed),
         }
-        .expect("machine")
     }
 
-    /// Stable config tag for job descriptors and cache keys.
+    /// Stable config tag for job descriptors.
     fn tag(self) -> &'static str {
         match self {
             Self::Ksr1 => "ksr1",
@@ -73,18 +75,20 @@ impl BarrierMachine {
     }
 }
 
-/// Mean seconds per barrier episode for `kind` at `procs` processors.
+/// Mean seconds per barrier episode: `procs` processors on a machine
+/// built from `cfg` run `episodes` measured episodes, after two warm-up
+/// ones, through the barrier `alloc` places. FIG4/5, SEC323, SCB, ABL
+/// and the perf harness all time barriers through this one driver.
 #[must_use]
-pub fn episode_time(
-    machine: BarrierMachine,
-    kind: BarrierKind,
+pub fn episode_seconds<B: BarrierAlg>(
+    cfg: MachineConfig,
     procs: usize,
     episodes: usize,
-    seed: u64,
+    alloc: impl FnOnce(&mut Machine) -> B,
 ) -> f64 {
-    let mut m = machine.build(procs, seed);
-    let b = AnyBarrier::alloc(kind, &mut m, procs).expect("barrier alloc");
-    // Warm-up episode (first-touch page allocations), then measure.
+    let mut m = Machine::new(cfg).expect("machine");
+    let b = alloc(&mut m);
+    // Warm-up episodes (first-touch page allocations), then measure.
     let warmup = 2;
     let run_eps = episodes + warmup;
     let programs: Vec<Box<dyn Program>> = (0..procs)
@@ -136,10 +140,13 @@ fn sweep_jobs(
             .param("episodes", episodes);
             jobs.push(Job::value(
                 desc,
-                p,
                 "barrier_episode_seconds",
                 "s",
-                move || episode_time(machine, kind, p, episodes, seed),
+                move || {
+                    episode_seconds(machine.config(p, seed), p, episodes, |m| {
+                        AnyBarrier::alloc(kind, m, p).expect("barrier alloc")
+                    })
+                },
             ));
         }
     }
@@ -185,7 +192,7 @@ pub fn plan_fig4(opts: &RunOpts) -> ExperimentPlan {
         opts.machine_seed(1000),
         opts,
     );
-    ExperimentPlan::new(ID_FIG4, TITLE_FIG4, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID_FIG4, TITLE_FIG4);
         let series = sweep_series(&res, &kinds, &procs);
         let at_max = |label: &str| {
@@ -243,7 +250,7 @@ pub fn plan_fig5(opts: &RunOpts) -> ExperimentPlan {
         opts.machine_seed(1000),
         opts,
     );
-    ExperimentPlan::new(ID_FIG5, TITLE_FIG5, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID_FIG5, TITLE_FIG5);
         let series = sweep_series(&res, &kinds, &procs);
         // §3.2.4 analysis: the jump past one ring, and tournament vs MCS.
@@ -295,38 +302,35 @@ pub fn plan_sec323(opts: &RunOpts) -> ExperimentPlan {
         .copied()
         .collect();
     let mut jobs = Vec::new();
-    let sec323_desc = |machine: BarrierMachine, k: BarrierKind, seed: u64| {
-        JobDesc::new(
-            ID_SEC323,
-            SCHEMA,
-            format!("SEC323 {} {}", machine.tag(), k.label()),
-            opts,
-        )
-        .seed(seed)
-        .param("machine", machine.tag())
-        .param("barrier", k.label())
-        .param("procs", procs)
-        .param("episodes", episodes)
-    };
-    for &k in BarrierKind::ALL.iter() {
-        jobs.push(Job::value(
-            sec323_desc(BarrierMachine::Symmetry, k, sym_seed),
-            procs,
-            "barrier_episode_seconds",
-            "s",
-            move || episode_time(BarrierMachine::Symmetry, k, procs, episodes, sym_seed),
-        ));
+    for (machine, kinds, seed) in [
+        (BarrierMachine::Symmetry, &BarrierKind::ALL[..], sym_seed),
+        (BarrierMachine::Butterfly, &bfly_kinds[..], bfly_seed),
+    ] {
+        for &k in kinds {
+            let desc = JobDesc::new(
+                ID_SEC323,
+                SCHEMA,
+                format!("SEC323 {} {}", machine.tag(), k.label()),
+                opts,
+            )
+            .seed(seed)
+            .param("machine", machine.tag())
+            .param("barrier", k.label())
+            .param("procs", procs)
+            .param("episodes", episodes);
+            jobs.push(Job::value(
+                desc,
+                "barrier_episode_seconds",
+                "s",
+                move || {
+                    episode_seconds(machine.config(procs, seed), procs, episodes, |m| {
+                        AnyBarrier::alloc(k, m, procs).expect("barrier alloc")
+                    })
+                },
+            ));
+        }
     }
-    for &k in &bfly_kinds {
-        jobs.push(Job::value(
-            sec323_desc(BarrierMachine::Butterfly, k, bfly_seed),
-            procs,
-            "barrier_episode_seconds",
-            "s",
-            move || episode_time(BarrierMachine::Butterfly, k, procs, episodes, bfly_seed),
-        ));
-    }
-    ExperimentPlan::new(ID_SEC323, TITLE_SEC323, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID_SEC323, TITLE_SEC323);
         out.line(format_args!("Sequent Symmetry, {procs} procs, us/episode:"));
         let mut sym: Vec<(f64, &'static str)> = BarrierKind::ALL
@@ -382,17 +386,30 @@ pub fn plan_sec323(opts: &RunOpts) -> ExperimentPlan {
 mod tests {
     use super::*;
 
+    /// One sweep point, the way the FIG4/5 and SEC323 jobs run it.
+    fn episode(
+        machine: BarrierMachine,
+        kind: BarrierKind,
+        procs: usize,
+        episodes: usize,
+        seed: u64,
+    ) -> f64 {
+        episode_seconds(machine.config(procs, seed), procs, episodes, |m| {
+            AnyBarrier::alloc(kind, m, procs).expect("barrier alloc")
+        })
+    }
+
     #[test]
     fn counter_is_much_slower_than_tournament_flag_at_scale() {
-        let c = episode_time(BarrierMachine::Ksr1, BarrierKind::Counter, 16, 6, 1);
-        let t = episode_time(BarrierMachine::Ksr1, BarrierKind::TournamentFlag, 16, 6, 1);
+        let c = episode(BarrierMachine::Ksr1, BarrierKind::Counter, 16, 6, 1);
+        let t = episode(BarrierMachine::Ksr1, BarrierKind::TournamentFlag, 16, 6, 1);
         assert!(c > 2.0 * t, "counter {c:.2e} vs tournament(M) {t:.2e}");
     }
 
     #[test]
     fn flag_wakeup_beats_tree_wakeup_for_tournament() {
-        let plain = episode_time(BarrierMachine::Ksr1, BarrierKind::Tournament, 16, 6, 2);
-        let flag = episode_time(BarrierMachine::Ksr1, BarrierKind::TournamentFlag, 16, 6, 2);
+        let plain = episode(BarrierMachine::Ksr1, BarrierKind::Tournament, 16, 6, 2);
+        let flag = episode(BarrierMachine::Ksr1, BarrierKind::TournamentFlag, 16, 6, 2);
         assert!(
             flag < plain,
             "flag {flag:.2e} must beat tree wake-up {plain:.2e}"
@@ -401,13 +418,13 @@ mod tests {
 
     #[test]
     fn counter_wins_on_the_bus() {
-        let counter = episode_time(BarrierMachine::Symmetry, BarrierKind::Counter, 8, 6, 3);
+        let counter = episode(BarrierMachine::Symmetry, BarrierKind::Counter, 8, 6, 3);
         for kind in [
             BarrierKind::Dissemination,
             BarrierKind::Tournament,
             BarrierKind::Mcs,
         ] {
-            let other = episode_time(BarrierMachine::Symmetry, kind, 8, 6, 3);
+            let other = episode(BarrierMachine::Symmetry, kind, 8, 6, 3);
             assert!(
                 counter < other * 1.1,
                 "bus: counter {counter:.2e} should be at or near the best; {} was {other:.2e}",
@@ -418,15 +435,15 @@ mod tests {
 
     #[test]
     fn dissemination_wins_on_the_butterfly() {
-        let d = episode_time(
+        let d = episode(
             BarrierMachine::Butterfly,
             BarrierKind::Dissemination,
             16,
             6,
             4,
         );
-        let t = episode_time(BarrierMachine::Butterfly, BarrierKind::Tournament, 16, 6, 4);
-        let m = episode_time(BarrierMachine::Butterfly, BarrierKind::Mcs, 16, 6, 4);
+        let t = episode(BarrierMachine::Butterfly, BarrierKind::Tournament, 16, 6, 4);
+        let m = episode(BarrierMachine::Butterfly, BarrierKind::Mcs, 16, 6, 4);
         assert!(
             d < t && t < m * 1.2,
             "butterfly ordering: diss {d:.2e} tour {t:.2e} mcs {m:.2e}"
@@ -437,14 +454,14 @@ mod tests {
     fn ksr2_jump_past_one_ring() {
         // Algorithms whose critical path includes cross-ring traffic show
         // the §3.2.4 jump clearly; tournament(M) hides most of it.
-        let inside = episode_time(BarrierMachine::Ksr2, BarrierKind::Dissemination, 32, 6, 5);
-        let across = episode_time(BarrierMachine::Ksr2, BarrierKind::Dissemination, 40, 6, 5);
+        let inside = episode(BarrierMachine::Ksr2, BarrierKind::Dissemination, 32, 6, 5);
+        let across = episode(BarrierMachine::Ksr2, BarrierKind::Dissemination, 40, 6, 5);
         assert!(
             across > inside * 1.25,
             "crossing the ring boundary must jump: {inside:.2e} vs {across:.2e}"
         );
-        let inside = episode_time(BarrierMachine::Ksr2, BarrierKind::Mcs, 32, 6, 5);
-        let across = episode_time(BarrierMachine::Ksr2, BarrierKind::Mcs, 40, 6, 5);
+        let inside = episode(BarrierMachine::Ksr2, BarrierKind::Mcs, 32, 6, 5);
+        let across = episode(BarrierMachine::Ksr2, BarrierKind::Mcs, 40, 6, 5);
         assert!(
             across > inside * 1.1,
             "MCS must also feel the boundary: {inside:.2e} vs {across:.2e}"

@@ -14,9 +14,9 @@ use crate::table2_is::{is_time, paper_config as is_config};
 pub const ID: &str = "FIG8";
 /// Registry title.
 pub const TITLE: &str = "Speedup for CG and IS (Figure 8)";
-/// Cache schema version of the FIG8 jobs — bump when either kernel
-/// driver or the job layout changes meaning, so stale cache entries
-/// miss.
+/// Schema version of the FIG8 jobs, part of every job's canonical
+/// descriptor — bump when either kernel driver or the job layout
+/// changes meaning.
 const SCHEMA: u32 = 1;
 
 /// Plan the Figure 8 sweep: one job per (kernel, procs) point.
@@ -41,7 +41,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("offdiag_per_row", cg_cfg.offdiag_per_row)
             .param("iterations", cg_cfg.iterations)
             .param("procs", p);
-        jobs.push(Job::value(desc, p, "cg_run_seconds", "s", move || {
+        jobs.push(Job::value(desc, "cg_run_seconds", "s", move || {
             cg_time(cg_cfg, p, cg_seed)
         }));
     }
@@ -53,11 +53,11 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("max_key", is_cfg.max_key)
             .param("chunk", is_cfg.chunk)
             .param("procs", p);
-        jobs.push(Job::value(desc, p, "is_run_seconds", "s", move || {
+        jobs.push(Job::value(desc, "is_run_seconds", "s", move || {
             is_time(is_cfg, p, is_seed).0
         }));
     }
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         let n = procs.len();
         let mut cg = Series::new("CG");

@@ -17,24 +17,55 @@
 use ksr_core::Json;
 use ksr_machine::{program, Machine, MachineConfig, Program, SharedU64};
 
-use crate::common::{ExperimentOutput, MetricRow, RunOpts};
+use crate::common::{spec_tag, ExperimentOutput, MetricRow, RunOpts};
 use crate::exec::{ExperimentPlan, Job, JobDesc};
 
 /// Registry id.
 pub const ID: &str = "LAD";
 /// Registry title.
 pub const TITLE: &str = "Remote-latency ladder and ring saturation on multi-level rings";
-/// Cache schema version of the LAD jobs — bump when [`probe_latency`],
-/// [`saturation_point`], or the job layout changes meaning, so stale
-/// cache entries miss.
+/// Schema version of the LAD jobs, part of every job's canonical
+/// descriptor — bump when [`read_stream`] or the job layout changes
+/// meaning.
 const SCHEMA: u32 = 1;
 
-/// The ring spec as a stable "32x8x4" tag for job descriptors.
-fn spec_tag(spec: &[usize]) -> String {
-    spec.iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join("x")
+/// Mean cycles per read when each of `procs` processors streams
+/// `samples` reads over its own `len`-byte array, warmed at cell
+/// `owner(p)`, touching a fresh sub-page on every read so each one is a
+/// miss served by the owner. The fabric counters stay on `m` for the
+/// caller. LAD's ladder and saturation sweep and ABL's ring ablations
+/// all measure remote reads through this one driver.
+#[must_use]
+pub fn read_stream(
+    m: &mut Machine,
+    procs: usize,
+    len: u64,
+    samples: u64,
+    owner: impl Fn(usize) -> usize,
+) -> f64 {
+    let arrays: Vec<u64> = (0..procs)
+        .map(|_| m.alloc(len, 16384).expect("alloc"))
+        .collect();
+    for (p, &a) in arrays.iter().enumerate() {
+        m.warm(owner(p), a, len);
+    }
+    let out = SharedU64::alloc(m, procs).expect("alloc");
+    let programs: Vec<Box<dyn Program>> = arrays
+        .into_iter()
+        .enumerate()
+        .map(|(p, a)| {
+            program(move |mut cpu| async move {
+                let t0 = cpu.now();
+                for i in 0..samples {
+                    let _ = cpu.read_u64(a + (i * 128) % len).await;
+                }
+                let mean = (cpu.now() - t0) / samples;
+                out.set(&mut cpu, p, mean).await;
+            })
+        })
+        .collect();
+    m.run(programs).expect("run");
+    (0..procs).map(|p| out.peek(m, p) as f64).sum::<f64>() / procs as f64
 }
 
 /// Mean read latency (cycles) from cell 0 to data homed on `owner`,
@@ -42,23 +73,7 @@ fn spec_tag(spec: &[usize]) -> String {
 #[must_use]
 pub fn probe_latency(spec: &[usize], owner: usize, seed: u64) -> f64 {
     let mut m = Machine::new(MachineConfig::ksr_ring(seed, spec)).expect("machine");
-    let len = 64 * 1024u64;
-    let a = m.alloc(len, 16384).expect("alloc");
-    m.warm(owner, a, len);
-    let out = SharedU64::alloc(&mut m, 1).expect("alloc");
-    let samples = 256u64;
-    m.run(vec![program(move |mut cpu| async move {
-        let t0 = cpu.now();
-        for i in 0..samples {
-            // Each sample touches a fresh sub-page, so every read is a
-            // miss served by the owner.
-            let _ = cpu.read_u64(a + (i * 128) % len).await;
-        }
-        let mean = (cpu.now() - t0) / samples;
-        out.set(&mut cpu, 0, mean).await;
-    })])
-    .expect("run");
-    out.peek(&mut m, 0) as f64
+    read_stream(&mut m, 1, 64 * 1024, 256, |_| owner)
 }
 
 /// One saturation point: `procs` processors each stream reads from an
@@ -72,31 +87,8 @@ pub fn saturation_point(spec: &[usize], procs: usize, seed: u64) -> (f64, f64) {
         procs <= cells,
         "saturation point oversubscribes the machine"
     );
-    let len = 16 * 1024u64;
-    let arrays: Vec<u64> = (0..procs)
-        .map(|_| m.alloc(len, 16384).expect("alloc"))
-        .collect();
-    for (p, &a) in arrays.iter().enumerate() {
-        // Antipodal placement: every stream crosses the full hierarchy.
-        m.warm((p + cells / 2) % cells, a, len);
-    }
-    let out = SharedU64::alloc(&mut m, procs).expect("alloc");
-    let samples = 96u64;
-    let programs: Vec<Box<dyn Program>> = (0..procs)
-        .map(|p| {
-            let a = arrays[p];
-            program(move |mut cpu| async move {
-                let t0 = cpu.now();
-                for i in 0..samples {
-                    let _ = cpu.read_u64(a + (i * 128) % len).await;
-                }
-                let mean = (cpu.now() - t0) / samples;
-                out.set(&mut cpu, p, mean).await;
-            })
-        })
-        .collect();
-    m.run(programs).expect("run");
-    let lat = (0..procs).map(|p| out.peek(&mut m, p) as f64).sum::<f64>() / procs as f64;
+    // Antipodal placement: every stream crosses the full hierarchy.
+    let lat = read_stream(&mut m, procs, 16 * 1024, 96, |p| (p + cells / 2) % cells);
     let s = m.fabric_stats();
     let wait = if s.packets == 0 {
         0.0
@@ -139,7 +131,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 .param("probe", "ladder")
                 .param("spec", spec_tag(spec))
                 .param("owner", owner);
-            Job::value(desc, 1, "remote_read_cycles", "cycles", move || {
+            Job::value(desc, "remote_read_cycles", "cycles", move || {
                 probe_latency(spec, owner, seed)
             })
         })
@@ -150,7 +142,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("probe", "saturation")
             .param("spec", spec_tag(spec))
             .param("procs", p);
-        jobs.push(Job::new(desc, p, move || {
+        jobs.push(Job::new(desc, move || {
             let (lat, wait) = saturation_point(spec, p, seed);
             vec![
                 MetricRow::new("saturated_read_cycles", &[], lat, "cycles"),
@@ -159,14 +151,11 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
         }));
     }
     let cells: usize = spec.iter().product();
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         out.line(format_args!(
             "latency ladder on a {cells}-cell ring[{}] machine (idle, cycles/read):",
-            spec.iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("x")
+            spec_tag(spec)
         ));
         for (i, &(label, _, rings)) in rungs.iter().enumerate() {
             out.line(format_args!(

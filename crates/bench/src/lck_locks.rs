@@ -26,18 +26,18 @@
 use ksr_core::table::Series;
 use ksr_core::time::cycles_to_seconds;
 use ksr_core::Json;
-use ksr_machine::{program, Machine, MachineConfig, Program};
-use ksr_sync::{CohortLock, HwLock, LockMode, SwRwLock};
+use ksr_machine::{program, Cpu, Machine, MachineConfig, Program};
+use ksr_sync::{CohortLock, HwLock, LockMode, SwRwLock, Ticket};
 
-use crate::common::{ExperimentOutput, MetricRow, RunOpts};
+use crate::common::{spec_tag, ExperimentOutput, MetricRow, RunOpts};
 use crate::exec::{ExperimentPlan, Job, JobDesc};
 
 /// Registry id.
 pub const ID: &str = "LCK";
 /// Registry title.
 pub const TITLE: &str = "Lock-contention crossover on ring trees, 1 to 1024 cells";
-/// Cache schema version of the LCK jobs — bump when the workload or
-/// row layout changes meaning, so stale cache entries miss.
+/// Schema version of the LCK jobs, part of every job's canonical
+/// descriptor — bump when the workload or row layout changes meaning.
 const SCHEMA: u32 = 1;
 
 /// Cycles the lock is held per critical section.
@@ -47,7 +47,7 @@ const BUDGET: u64 = 8;
 
 /// The contenders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LockKind {
+pub enum LockKind {
     /// `get_sub_page` spinning (Figure 3's exclusive lock).
     Hw,
     /// The paper's FCFS ticket lock, writers only (flat queue).
@@ -101,77 +101,78 @@ fn ops_per_proc(procs: usize, quick: bool) -> usize {
     }
 }
 
+/// One contender's lock, dispatchable by value.
+#[derive(Debug, Clone, Copy)]
+enum AnyLock {
+    Hw(HwLock),
+    Ticket(SwRwLock),
+    Cohort(CohortLock),
+}
+
+impl AnyLock {
+    fn alloc(kind: LockKind, m: &mut Machine) -> Self {
+        match kind {
+            LockKind::Hw => Self::Hw(HwLock::alloc(m).expect("alloc")),
+            LockKind::Ticket => Self::Ticket(SwRwLock::alloc(m).expect("alloc")),
+            LockKind::Cohort => Self::Cohort(CohortLock::with_budget(m, BUDGET).expect("alloc")),
+        }
+    }
+
+    /// Acquire exclusively. The ticket lock's grant comes back for
+    /// [`AnyLock::release`]; the other locks grant none.
+    async fn acquire(self, cpu: &mut Cpu) -> Option<Ticket> {
+        match self {
+            Self::Hw(l) => {
+                l.acquire(cpu).await;
+                None
+            }
+            Self::Ticket(l) => Some(l.acquire(cpu, LockMode::Write).await),
+            Self::Cohort(l) => {
+                l.acquire(cpu).await;
+                None
+            }
+        }
+    }
+
+    async fn release(self, cpu: &mut Cpu, ticket: Option<Ticket>) {
+        match self {
+            Self::Hw(l) => l.release(cpu).await,
+            Self::Ticket(l) => {
+                l.release(cpu, ticket.expect("the ticket lock grants a ticket"))
+                    .await;
+            }
+            Self::Cohort(l) => l.release(cpu).await,
+        }
+    }
+}
+
 /// One sweep point: every processor of the `spec` machine loops
 /// acquire → increment shared word → release → delay. Returns
 /// `(time_per_acquire_us, rmr_per_acquire)`.
 #[must_use]
 pub fn run_workload(
-    lock_label: &str,
+    kind: LockKind,
     spec: &[usize],
     procs: usize,
     delay: u64,
     ops: usize,
     seed: u64,
 ) -> (f64, f64) {
-    let kind = LockKind::ALL
-        .into_iter()
-        .find(|k| k.label() == lock_label)
-        .expect("known lock kind");
     let mut m = Machine::new(MachineConfig::ksr_ring(seed, spec)).expect("machine");
     let shared = m.alloc_subpage(8).unwrap();
-    enum AnyLock {
-        Hw(HwLock),
-        Ticket(SwRwLock),
-        Cohort(CohortLock),
-    }
-    let lock = match kind {
-        LockKind::Hw => AnyLock::Hw(HwLock::alloc(&mut m).expect("alloc")),
-        LockKind::Ticket => AnyLock::Ticket(SwRwLock::alloc(&mut m).expect("alloc")),
-        LockKind::Cohort => {
-            AnyLock::Cohort(CohortLock::with_budget(&mut m, BUDGET).expect("alloc"))
-        }
-    };
+    let lock = AnyLock::alloc(kind, &mut m);
     let programs: Vec<Box<dyn Program>> = (0..procs)
-        .map(|_| match &lock {
-            AnyLock::Hw(l) => {
-                let l = *l;
-                program(move |mut cpu| async move {
-                    for _ in 0..ops {
-                        l.acquire(&mut cpu).await;
-                        let v = cpu.read_u64(shared).await;
-                        cpu.compute(HOLD);
-                        cpu.write_u64(shared, v + 1).await;
-                        l.release(&mut cpu).await;
-                        cpu.compute(delay);
-                    }
-                })
-            }
-            AnyLock::Ticket(l) => {
-                let l = *l;
-                program(move |mut cpu| async move {
-                    for _ in 0..ops {
-                        let t = l.acquire(&mut cpu, LockMode::Write).await;
-                        let v = cpu.read_u64(shared).await;
-                        cpu.compute(HOLD);
-                        cpu.write_u64(shared, v + 1).await;
-                        l.release(&mut cpu, t).await;
-                        cpu.compute(delay);
-                    }
-                })
-            }
-            AnyLock::Cohort(l) => {
-                let l = *l;
-                program(move |mut cpu| async move {
-                    for _ in 0..ops {
-                        l.acquire(&mut cpu).await;
-                        let v = cpu.read_u64(shared).await;
-                        cpu.compute(HOLD);
-                        cpu.write_u64(shared, v + 1).await;
-                        l.release(&mut cpu).await;
-                        cpu.compute(delay);
-                    }
-                })
-            }
+        .map(|_| {
+            program(move |mut cpu| async move {
+                for _ in 0..ops {
+                    let t = lock.acquire(&mut cpu).await;
+                    let v = cpu.read_u64(shared).await;
+                    cpu.compute(HOLD);
+                    cpu.write_u64(shared, v + 1).await;
+                    lock.release(&mut cpu, t).await;
+                    cpu.compute(delay);
+                }
+            })
         })
         .collect();
     let r = m.run(programs).expect("run");
@@ -209,22 +210,15 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 .seed(point_seed)
                 .param("lock", kind.label())
                 .param("cells", cells)
-                .param(
-                    "spec",
-                    spec.iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join("x"),
-                )
+                .param("spec", spec_tag(spec))
                 .param("hold", HOLD)
                 .param("delay", delay)
                 .param("ops", ops);
                 if kind == LockKind::Cohort {
                     desc = desc.param("budget", BUDGET);
                 }
-                let label = kind.label();
-                jobs.push(Job::new(desc, procs, move || {
-                    let (us, rmr) = run_workload(label, spec, procs, delay, ops, point_seed);
+                jobs.push(Job::new(desc, move || {
+                    let (us, rmr) = run_workload(kind, spec, procs, delay, ops, point_seed);
                     vec![
                         MetricRow::new("time_per_acquire_us", &[], us, "us"),
                         MetricRow::new("rmr_per_acquire", &[], rmr, "refs"),
@@ -235,7 +229,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     }
     let levels: Vec<(&'static str, u64)> = levels.to_vec();
     let points: Vec<(usize, &'static [usize])> = points.to_vec();
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         let idx = |li: usize, ki: usize, pi: usize| (li * 3 + ki) * points.len() + pi;
         let time = |li: usize, ki: usize, pi: usize| res.rows(idx(li, ki, pi))[0].value;
@@ -329,8 +323,8 @@ mod tests {
         // cohort lock must already beat the flat ticket queue, and its
         // RMR per acquire must be far lower.
         let ops = 4;
-        let (ticket_us, ticket_rmr) = run_workload("ticket_lock", &[32, 2], 64, 500, ops, 7);
-        let (cohort_us, cohort_rmr) = run_workload("cohort_mcs", &[32, 2], 64, 500, ops, 7);
+        let (ticket_us, ticket_rmr) = run_workload(LockKind::Ticket, &[32, 2], 64, 500, ops, 7);
+        let (cohort_us, cohort_rmr) = run_workload(LockKind::Cohort, &[32, 2], 64, 500, ops, 7);
         assert!(
             cohort_us < ticket_us,
             "cohort {cohort_us:.2}us must beat ticket {ticket_us:.2}us at 64 cells"
@@ -343,7 +337,7 @@ mod tests {
 
     #[test]
     fn single_leaf_has_no_remote_references() {
-        let (_, rmr) = run_workload("hw_lock", &[32], 8, 500, 4, 11);
+        let (_, rmr) = run_workload(LockKind::Hw, &[32], 8, 500, 4, 11);
         assert_eq!(rmr, 0.0, "one leaf ring cannot cross a level boundary");
     }
 

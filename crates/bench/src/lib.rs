@@ -5,16 +5,23 @@
 //! paper reports (see the per-experiment index in `DESIGN.md`).
 //!
 //! Experiments are [`registry::Experiment`]s: look them up in
-//! [`registry::REGISTRY`]. Each experiment describes itself as an
-//! [`exec::ExperimentPlan`] — a list of pure [`exec::Job`]s (config +
-//! seed + program factory → typed [`MetricRow`]s) plus an ordered
-//! reduce — and [`exec::execute`] schedules the jobs of many plans over
-//! a pool of worker threads (`--jobs N`). Because every
+//! [`registry::REGISTRY`]; the registry entry carries the id and title.
+//! Each experiment describes itself as an
+//! `ExperimentPlan::new(jobs, reduce)` ([`exec::ExperimentPlan`]): a
+//! list of pure [`exec::Job`]s plus an ordered reduce. A job is
+//! `Job::new(desc, run)`, a closure returning typed [`MetricRow`]s, or
+//! `Job::value(desc, metric, unit, f)` for the common one-number case;
+//! `desc` is its canonical [`exec::JobDesc`], whose fingerprint names it
+//! uniquely across the registry. [`exec::execute`] schedules the jobs of
+//! many plans over a pool of worker threads (`--jobs N`). Because every
 //! job is pure and the reduce runs in job order, `results/*.json` and
 //! `summary.json` are byte-identical at any worker count.
 //!
-//! Every job also carries a canonical [`exec::JobDesc`] whose
-//! fingerprint names it uniquely across the registry.
+//! Jobs reach the simulator through one driver per workload shape:
+//! [`fig4_barriers::episode_seconds`] times barrier episodes,
+//! [`lad_latency::read_stream`] times remote-read streams,
+//! [`lck_locks::run_workload`] runs the LCK lock loop, and
+//! [`table1_cg::cg_time`] times CG.
 //!
 //! Each reduce returns an [`ExperimentOutput`] carrying rendered text,
 //! figure series, and typed [`MetricRow`]s; `write_to` persists
@@ -38,6 +45,8 @@ pub mod fig2_latency;
 pub mod fig3_locks;
 pub mod fig4_barriers;
 pub mod fig8_speedup;
+#[cfg(test)]
+mod golden;
 pub mod lad_latency;
 pub mod lck_locks;
 pub mod perf;

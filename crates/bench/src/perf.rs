@@ -65,11 +65,11 @@ use ksr_core::time::cycles_to_seconds;
 use ksr_core::Json;
 use ksr_machine::MachineConfig;
 use ksr_mem::{MemOp, MemorySystem};
-use ksr_sync::BarrierKind;
+use ksr_sync::{AnyBarrier, BarrierKind};
 
 use crate::fig2_latency::{measure, Target};
 use crate::fig3_locks::run_workload;
-use crate::fig4_barriers::{episode_time, BarrierMachine};
+use crate::fig4_barriers::{episode_seconds, BarrierMachine};
 use crate::table2_is::{is_time, paper_config};
 
 /// One microworkload: a name, what it stresses, and a runner returning
@@ -117,7 +117,11 @@ pub fn cases() -> Vec<PerfCase> {
         PerfCase {
             name: "barrier_episode",
             detail: "one MCS barrier episode across 16 procs (plus standard warm-up)",
-            run: || episode_time(BarrierMachine::Ksr1, BarrierKind::Mcs, 16, 1, 400),
+            run: || {
+                episode_seconds(BarrierMachine::Ksr1.config(16, 400), 16, 1, |m| {
+                    AnyBarrier::alloc(BarrierKind::Mcs, m, 16).expect("barrier alloc")
+                })
+            },
         },
         PerfCase {
             name: "quick_is",

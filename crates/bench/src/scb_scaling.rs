@@ -22,19 +22,20 @@
 //! fractal/tree topologies (Bertuletti et al., 2023).
 
 use ksr_core::table::Series;
-use ksr_core::time::cycles_to_seconds;
-use ksr_machine::{program, Machine, MachineConfig, Program};
-use ksr_sync::{AnyBarrier, BarrierAlg, BarrierKind, Episode};
+use ksr_machine::MachineConfig;
+use ksr_sync::{AnyBarrier, BarrierKind};
 
-use crate::common::{ExperimentOutput, RunOpts};
+use crate::common::{spec_tag, ExperimentOutput, RunOpts};
 use crate::exec::{ExperimentPlan, Job, JobDesc};
+use crate::fig4_barriers::episode_seconds;
 
 /// Registry id.
 pub const ID: &str = "SCB";
 /// Registry title.
 pub const TITLE: &str = "Barrier-episode scaling from 32 to 1024 cells on ring trees";
-/// Cache schema version of the SCB jobs — bump when [`episode_time`] or
-/// the job layout changes meaning, so stale cache entries miss.
+/// Schema version of the SCB jobs, part of every job's canonical
+/// descriptor — bump when [`episode_seconds`] or the job layout changes
+/// meaning.
 const SCHEMA: u32 = 1;
 
 /// The full sweep: `(cells, ring spec)` per point.
@@ -46,30 +47,6 @@ pub const POINTS: &[(usize, &[usize])] = &[
     (512, &[32, 8, 2]),
     (1024, &[32, 8, 4]),
 ];
-
-/// Mean seconds per barrier episode with every cell of the `spec`
-/// machine participating.
-#[must_use]
-pub fn episode_time(spec: &[usize], kind: BarrierKind, episodes: usize, seed: u64) -> f64 {
-    let mut m = Machine::new(MachineConfig::ksr_ring(seed, spec)).expect("machine");
-    let procs = m.config().cells;
-    let b = AnyBarrier::alloc(kind, &mut m, procs).expect("barrier alloc");
-    let warmup = 2;
-    let run_eps = episodes + warmup;
-    let programs: Vec<Box<dyn Program>> = (0..procs)
-        .map(|p| {
-            program(move |mut cpu| async move {
-                let mut ep = Episode::default();
-                for e in 0..run_eps {
-                    cpu.compute(((p * 89 + e * 37) % 200) as u64 + 20);
-                    b.wait(&mut cpu, &mut ep).await;
-                }
-            })
-        })
-        .collect();
-    let r = m.run(programs).expect("run");
-    cycles_to_seconds(r.duration_cycles() / run_eps as u64, m.config().clock_hz)
-}
 
 /// Plan SCB: one job per (barrier kind, machine size), kind-major.
 #[must_use]
@@ -95,24 +72,22 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 .seed(point_seed)
                 .param("barrier", kind.label())
                 .param("cells", cells)
-                .param(
-                    "spec",
-                    spec.iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join("x"),
-                )
+                .param("spec", spec_tag(spec))
                 .param("episodes", episodes);
             jobs.push(Job::value(
                 desc,
-                cells,
                 "barrier_episode_seconds",
                 "s",
-                move || episode_time(spec, kind, episodes, point_seed),
+                move || {
+                    let cfg = MachineConfig::ksr_ring(point_seed, spec);
+                    episode_seconds(cfg, cells, episodes, |m| {
+                        AnyBarrier::alloc(kind, m, cells).expect("barrier alloc")
+                    })
+                },
             ));
         }
     }
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         let series: Vec<Series> = kinds
             .iter()
@@ -159,8 +134,13 @@ mod tests {
 
     #[test]
     fn episodes_slow_down_as_the_tree_deepens() {
-        let small = episode_time(&[32], BarrierKind::Mcs, 4, 9);
-        let mid = episode_time(&[32, 4], BarrierKind::Mcs, 4, 9);
+        let episode = |spec: &[usize], cells| {
+            episode_seconds(MachineConfig::ksr_ring(9, spec), cells, 4, |m| {
+                AnyBarrier::alloc(BarrierKind::Mcs, m, cells).expect("barrier alloc")
+            })
+        };
+        let small = episode(&[32], 32);
+        let mid = episode(&[32, 4], 128);
         assert!(
             mid > small,
             "two-level 128-cell episodes must cost more: {small:.2e} vs {mid:.2e}"

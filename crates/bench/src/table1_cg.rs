@@ -20,8 +20,8 @@ use crate::exec::{ExperimentPlan, Job, JobDesc};
 pub const ID: &str = "TAB1";
 /// Registry title.
 pub const TITLE: &str = "Conjugate Gradient (Table 1, Figure 8)";
-/// Cache schema version of the TAB1 jobs — bump when [`cg_time`] or the
-/// row layout changes meaning, so stale cache entries miss.
+/// Schema version of the TAB1 jobs, part of every job's canonical
+/// descriptor — bump when [`cg_time`] or the row layout changes meaning.
 const SCHEMA: u32 = 1;
 
 /// Cache scale factor used for the kernel experiments.
@@ -79,7 +79,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
         .map(|&p| {
             Job::value(
                 desc(format!("TAB1 cg p={p}"), p, false),
-                p,
                 "cg_run_seconds",
                 "s",
                 move || cg_time(cfg, p, seed),
@@ -92,7 +91,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     for &p in &ps_procs {
         jobs.push(Job::value(
             desc(format!("TAB1 cg poststore p={p}"), p, true),
-            p,
             "cg_run_seconds",
             "s",
             move || {
@@ -107,7 +105,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             },
         ));
     }
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         let times: Vec<(usize, f64)> = procs
             .iter()

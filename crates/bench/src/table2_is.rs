@@ -20,8 +20,9 @@ use crate::table1_cg::SCALE;
 pub const ID: &str = "TAB2";
 /// Registry title.
 pub const TITLE: &str = "Integer Sort (Table 2, Figure 8)";
-/// Cache schema version of the TAB2 jobs — bump when [`is_time`] or the
-/// two-row job layout changes meaning, so stale cache entries miss.
+/// Schema version of the TAB2 jobs, part of every job's canonical
+/// descriptor — bump when [`is_time`] or the two-row job layout changes
+/// meaning.
 const SCHEMA: u32 = 1;
 
 /// Seconds for one IS run at `procs` processors. Also returns the mean
@@ -71,7 +72,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 .param("max_key", cfg.max_key)
                 .param("chunk", cfg.chunk)
                 .param("procs", p);
-            Job::new(desc, p, move || {
+            Job::new(desc, move || {
                 let (t, lat) = is_time(cfg, p, seed);
                 vec![
                     MetricRow::new("is_run_seconds", &[], t, "s"),
@@ -80,7 +81,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             })
         })
         .collect();
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         let times: Vec<(usize, f64)> = procs
             .iter()

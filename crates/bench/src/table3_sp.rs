@@ -24,9 +24,9 @@ pub const TITLE_TAB3: &str =
 pub const ID_TAB4: &str = "TAB4";
 /// Registry title of the Table 4 optimisation ladder.
 pub const TITLE_TAB4: &str = "Scalar Pentadiagonal optimisation ladder (Table 4), 30 processors";
-/// Cache schema version shared by the SP jobs — bump when
-/// [`sp_time_per_iter`] or the row layout changes meaning, so stale
-/// cache entries miss.
+/// Schema version shared by the SP jobs, part of every job's canonical
+/// descriptor — bump when [`sp_time_per_iter`] or the row layout
+/// changes meaning.
 const SCHEMA: u32 = 1;
 
 /// Every SP config knob as descriptor params, so the fingerprint
@@ -96,14 +96,13 @@ pub fn plan_table3(opts: &RunOpts) -> ExperimentPlan {
         .map(|&p| {
             Job::value(
                 sp_desc(ID_TAB3, format!("TAB3 sp p={p}"), cfg, p, seed, opts),
-                p,
                 "sp_seconds_per_iteration",
                 "s",
                 move || sp_time_per_iter(cfg, p, seed),
             )
         })
         .collect();
-    ExperimentPlan::new(ID_TAB3, TITLE_TAB3, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID_TAB3, TITLE_TAB3);
         let t1 = res.value(0);
         let mut table = TextTable::new(&["Processors", "Time per iteration (s)", "Speedup"]);
@@ -160,14 +159,13 @@ pub fn plan_table4(opts: &RunOpts) -> ExperimentPlan {
         .map(|&(label, cfg)| {
             Job::value(
                 sp_desc(ID_TAB4, format!("TAB4 sp {label}"), cfg, procs, seed, opts),
-                procs,
                 "sp_seconds_per_iteration",
                 "s",
                 move || sp_time_per_iter(cfg, procs, seed),
             )
         })
         .collect();
-    ExperimentPlan::new(ID_TAB4, TITLE_TAB4, jobs, move |res| {
+    ExperimentPlan::new(jobs, move |res| {
         let mut out = ExperimentOutput::new(ID_TAB4, TITLE_TAB4);
         let base = res.value(0);
         let mut table = TextTable::new(&["Optimizations", "Time per iteration (s)", "vs base"]);

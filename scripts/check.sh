@@ -3,13 +3,10 @@
 # every registered experiment, and the parallel-executor determinism
 # gate. Run from the repo root before pushing.
 #
-# Quick-mode runs land in throwaway directories so the full-sweep
-# baselines under results/ are never overwritten; the only file this
-# script refreshes there is results/timings.json (wall-clock times are
-# nondeterministic by nature and excluded from every byte comparison).
-# The perf gate reads results/bench.json as its baseline and writes its
-# fresh report to a throwaway directory, so the baseline never moves as
-# a side effect of a passing run.
+# Every run writes into a throwaway directory, so the script leaves
+# results/ as committed. The perf gate reads results/bench.json as its
+# baseline and writes its fresh report to a throwaway directory, so the
+# baseline never moves as a side effect of a passing run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,10 +29,7 @@ tmp_serial=$(mktemp -d)
 tmp_parallel=$(mktemp -d)
 tmp_perf=$(mktemp -d)
 tmp_check=$(mktemp -d)
-tmp_check_net=$(mktemp -d)
-tmp_check_lck=$(mktemp -d)
-trap 'rm -rf "$tmp_serial" "$tmp_parallel" "$tmp_perf" "$tmp_check" "$tmp_check_net" \
-    "$tmp_check_lck"' EXIT
+trap 'rm -rf "$tmp_serial" "$tmp_parallel" "$tmp_perf" "$tmp_check"' EXIT
 
 # Compare every artifact of two result dirs, excluding the wall-clock
 # files (timings.json, bench.json — legitimately nondeterministic). The
@@ -72,10 +66,6 @@ cargo run --quiet --release -p ksr-bench --bin run_all -- \
     --quick --jobs 8 --results "$tmp_parallel" > "$tmp_parallel/stdout.txt"
 compare_dirs "$tmp_serial" "$tmp_parallel" "between -j1 and -j8"
 
-echo "==> recording per-experiment wall times in results/timings.json"
-mkdir -p results
-cp "$tmp_parallel/timings.json" results/timings.json
-
 echo "==> perf gate: microworkload minima vs committed results/bench.json (>10% fails)"
 # Wall-clock numbers for the coordinator hot path; like timings.json,
 # bench.json is nondeterministic and excluded from byte comparisons.
@@ -89,24 +79,29 @@ cargo run --quiet --release -p ksr-bench --bin perf -- \
 
 echo "==> run_all --check --quick (coherence + race + predictive + lint verification)"
 # Exits non-zero on any coherence violation, data race, predictive
-# finding, or schedule lint; the full report lands in violations.json.
-cargo run --quiet --release -p ksr-bench --bin run_all -- \
-    --check --quick --results "$tmp_check" > "$tmp_check/stdout.txt"
+# finding, or schedule lint; the full report lands in violations.json
+# and the per-experiment summary lines on stderr.
+if ! cargo run --quiet --release -p ksr-bench --bin run_all -- \
+    --check --quick --results "$tmp_check" > "$tmp_check/stdout.txt" 2> "$tmp_check/stderr.txt"; then
+    cat "$tmp_check/stderr.txt" >&2
+    exit 1
+fi
+grep '^\[check: ' "$tmp_check/stderr.txt"
 
-echo "==> run_all --check --quick --only LAD,SCB,CMB (interconnect surface under the checker)"
-# The N-level LCA routing and ARD-combining experiments exercise shadow
-# state the checker models specially (merged GetSubPage/ReadData grants);
-# gate them explicitly so a combining regression can't hide behind the
-# aggregate run.
-cargo run --quiet --release -p ksr-bench --bin run_all -- \
-    --check --quick --only LAD,SCB,CMB --results "$tmp_check_net" > "$tmp_check_net/stdout.txt"
-
-echo "==> run_all --check --quick --only LCK (hierarchical cohort locks under the checker)"
-# The cohort lock keeps all queue state on gsp'd or head-spun sub-pages
-# and never holds two gsp sub-pages at once; gate it explicitly so a
-# lockset or lock-order regression in the hierarchy can't hide behind
-# the aggregate run.
-cargo run --quiet --release -p ksr-bench --bin run_all -- \
-    --check --quick --only LCK --results "$tmp_check_lck" > "$tmp_check_lck/stdout.txt"
+echo "==> checker observed LAD, SCB, CMB and LCK clean"
+# The N-level LCA routing and ARD-combining experiments (LAD, SCB, CMB)
+# exercise shadow state the checker models specially (merged
+# GetSubPage/ReadData grants); the cohort lock (LCK) keeps all queue
+# state on gsp'd or head-spun sub-pages and never holds two gsp
+# sub-pages at once. The run above already fails on any violation; this
+# asserts that each of them was actually observed, so a regression that
+# drops one from the checked run can't hide behind the aggregate PASS.
+for id in LAD SCB CMB LCK; do
+    if ! grep -Eq "^\[check: $id: [1-9][0-9]* machine\(s\), [0-9]+ coherence event\(s\), 0 violation\(s\)\]$" \
+        "$tmp_check/stderr.txt"; then
+        echo "check gate: $id has no clean checked machine" >&2
+        exit 1
+    fi
+done
 
 echo "==> all checks passed"
